@@ -122,13 +122,23 @@ def _git_describe() -> str:
         return "unknown"
 
 
-def pytest_sessionfinish(session, exitstatus):
-    directory = os.environ.get("REPRO_BENCH_DIR") or os.getcwd()
-    revision = _git_describe()
-    for slug, payload in _RESULTS.items():
+def write_bench_dumps(directory: str, results: "dict[str, dict]", revision: str) -> None:
+    """Write one ``BENCH_<slug>.json`` per module into *directory*.
+
+    The directory is created (with any missing parents) if it does not
+    exist yet.
+    """
+    if results:
+        os.makedirs(directory, exist_ok=True)
+    for slug, payload in results.items():
         payload["schema_version"] = BENCH_SCHEMA_VERSION
         payload["revision"] = revision
         path = os.path.join(directory, f"BENCH_{slug}.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
+
+
+def pytest_sessionfinish(session, exitstatus):
+    directory = os.environ.get("REPRO_BENCH_DIR") or os.getcwd()
+    write_bench_dumps(directory, _RESULTS, _git_describe())

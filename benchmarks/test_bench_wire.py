@@ -16,7 +16,10 @@ full cost of a decision crossing the wire).  The asserted floor: on the
 uncached ``decide_many`` path, the binary protocol in its default elided
 form must sustain **≥2x** the throughput of the legacy NDJSON protocol in
 *its* default form (traced responses — exactly what every pre-PR-7 client
-received).  Everything measured lands in ``BENCH_wire.json``.
+received).  That floor's ratio changes two things at once, codec and trace
+elision, so the uncached server also runs NDJSON *elided*:
+``binary_over_json_elided_{point,batch}`` vary the codec alone and carry
+no floor.  Everything measured lands in ``BENCH_wire.json``.
 """
 
 import time as _time
@@ -131,11 +134,13 @@ def test_binary_wire_decide_throughput_budget(table_printer, bench_json):
                     )
                 # wire -> (client, trace flag): each codec's *default* shape —
                 # NDJSON as the legacy protocol shipped it (traced), binary as
-                # PR 7 ships it (elided; traces on request only).
-                for wire, client, trace in (
-                    ("json", json_client, True),
-                    ("binary", binary_client, False),
-                ):
+                # it ships by default (elided; traces on request only).  Uncached,
+                # NDJSON also runs elided: binary over that cell varies the
+                # codec alone, with the trace cost held equal.
+                variants = [("json", json_client, True), ("binary", binary_client, False)]
+                if cache is None:
+                    variants.append(("json_elided", json_client, False))
+                for wire, client, trace in variants:
                     for mode, stream, timed in (
                         ("batch", batch_stream, _batch_decides),
                         ("point", point_stream, _point_decides),
@@ -154,7 +159,7 @@ def test_binary_wire_decide_throughput_budget(table_printer, bench_json):
                             [
                                 cache_label,
                                 mode,
-                                f"{wire} ({'traced' if trace else 'elided'})",
+                                f"{client.wire} ({'traced' if trace else 'elided'})",
                                 f"{count / wall:,.0f}",
                                 f"{count / cpu:,.0f}",
                             ]
@@ -168,10 +173,25 @@ def test_binary_wire_decide_throughput_budget(table_printer, bench_json):
         for cache in ("uncached", "cached")
         for mode in ("batch", "point")
     }
+    for mode in ("batch", "point"):
+        ratios[f"binary_over_json_elided_{mode}"] = (
+            cells[f"uncached_{mode}_binary"]["decisions_per_sec"]
+            / cells[f"uncached_{mode}_json_elided"]["decisions_per_sec"]
+        )
     headline = ratios["binary_over_json_uncached_batch"]
     rows.append(
         ["uncached", "batch", "binary/json", f"{headline:.2f}x", f"(floor {BINARY_BATCH_FLOOR}x)"]
     )
+    for mode in ("batch", "point"):
+        rows.append(
+            [
+                "uncached",
+                mode,
+                "binary/json (both elided)",
+                f"{ratios[f'binary_over_json_elided_{mode}']:.2f}x",
+                "(codec only)",
+            ]
+        )
     table_printer(
         f"Wire-format decide throughput, {BATCH_DECIDES} batch / {POINT_DECIDES} point decides",
         ["cache", "mode", "wire", "decides/s", "decides/cpu-s"],

@@ -428,6 +428,11 @@ class BusLink:
         self._ping_ids = itertools.count(1)
         self._last_pong_id = 0
         self._connected = False
+        #: True while a connection attempt runs its handshake (connect,
+        #: hello, resync, re-publish); ``_ready`` once that has finished.
+        #: The first attempt starts with the reader thread below.
+        self._handshaking = True
+        self._ready = False
         self._closed = False
         self._unsent: List[List[Dict[str, Any]]] = []
         #: frames queued for the sender thread as (bytes, durable events or
@@ -572,17 +577,27 @@ class BusLink:
         that answers the ping).  Pings carry an id echoed in the pong, so a
         pong answering someone else's earlier ping (a gap-recovery ping the
         reader sent) can never satisfy this barrier before *its* replay
-        ran.  Returns ``False`` when the link is down or the pong did not
-        arrive in time — the caller should fall back to a full resync.
+        ran.  A link still connecting is waited for (within *timeout*).
+        Returns ``False`` when the link is down or the pong did not arrive
+        in time — the caller should fall back to a full resync.
         """
+        deadline = time.monotonic() + timeout
         with self._state:
-            if not self._connected:
+            # A link still in its handshake finishes it first: the events
+            # it re-publishes there (and any published while it was down)
+            # must queue ahead of this ping, or the pong would vouch for
+            # publishes the hub has not sequenced yet.
+            while self._handshaking and not self._ready:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or self._closed:
+                    return False
+                self._state.wait(remaining)
+            if not self._ready:
                 return False
             ping_id = next(self._ping_ids)
             last_seen = self._last_seen
         if not self._send_ping(last_seen, ping_id):
             return False
-        deadline = time.monotonic() + timeout
         with self._state:
             while self._last_pong_id < ping_id:
                 remaining = deadline - time.monotonic()
@@ -624,12 +639,16 @@ class BusLink:
                 if not first_attempt:
                     self._stats["reconnects"] += 1
             first_attempt = False
+            with self._state:
+                self._handshaking = True
             try:
                 self._connect_and_read()
             except OSError:
                 pass
             with self._state:
                 self._connected = False
+                self._handshaking = False
+                self._ready = False
                 self._state.notify_all()
                 if self._closed:
                     return
@@ -690,12 +709,17 @@ class BusLink:
                     # after the hello reply proved this connection works —
                     # so a connection that dies earlier keeps the buffered
                     # events for the next attempt (and a failing republish
-                    # below re-buffers through publish() itself).
+                    # below re-buffers through publish() itself).  Only
+                    # then is the link ready for a sync barrier.
                     self._safe_resync()
                     with self._send_lock:
                         unsent, self._unsent = self._unsent, []
                     for events in unsent:
                         self.publish(events)
+                    with self._state:
+                        self._handshaking = False
+                        self._ready = True
+                        self._state.notify_all()
                     continue
                 self._handle_frame(frame)
         finally:

@@ -177,8 +177,44 @@ def records_to_wire(records: Iterable[MovementRecord]) -> List[List[Any]]:
 
 
 def records_from_wire(items: Sequence[Sequence[Any]]) -> List[MovementRecord]:
-    """Decode a whole batch, validating every record."""
-    return [record_from_wire(item) for item in items]
+    """Decode a whole batch, validating every record.
+
+    A tracker batch repeats a few hundred subject and location names and
+    two kinds, so each distinct string is validated once, by a full
+    :func:`record_from_wire` (which also raises the error for a bad
+    record); a record whose time is a non-negative ``int`` and whose
+    strings were all accepted earlier in the batch is then built without
+    re-running the checks.  The result equals ``[record_from_wire(item)
+    for item in items]``.
+    """
+    records: List[MovementRecord] = []
+    append = records.append
+    build = MovementRecord._from_checked
+    subjects = set()
+    locations = set()
+    kinds: Dict[str, Any] = {}
+    for item in items:
+        if isinstance(item, (list, tuple)) and len(item) == 4:
+            time, subject, location, kind = item
+            if (
+                type(time) is int
+                and time >= 0
+                and type(subject) is str
+                and subject in subjects
+                and type(location) is str
+                and location in locations
+                and type(kind) is str
+                and kind in kinds
+            ):
+                append(build(time, subject, location, kinds[kind]))
+                continue
+        record = record_from_wire(item)
+        subjects.add(record.subject)
+        locations.add(record.location)
+        if type(item[3]) is str:
+            kinds[item[3]] = record.kind
+        append(record)
+    return records
 
 
 # --------------------------------------------------------------------- #

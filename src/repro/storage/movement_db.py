@@ -102,6 +102,24 @@ class MovementRecord:
         object.__setattr__(self, "location", location_name(self.location))
         object.__setattr__(self, "kind", MovementKind(self.kind))
 
+    @classmethod
+    def _from_checked(
+        cls, time: int, subject: str, location: LocationName, kind: MovementKind
+    ) -> "MovementRecord":
+        """Build a record from components the caller has already validated.
+
+        Skips ``__post_init__``: a batch decoder validates each distinct
+        subject, location and kind once and builds the remaining records
+        here, so it must only pass values a full construction accepted.
+        """
+        record = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(record, "time", time)
+        setattr_(record, "subject", subject)
+        setattr_(record, "location", location)
+        setattr_(record, "kind", kind)
+        return record
+
     def __str__(self) -> str:
         return f"{self.kind.value.upper()}({self.time}, {self.subject}, {self.location})"
 
@@ -191,6 +209,9 @@ class MovementDatabase(ABC):
     :class:`~repro.errors.StorageError` instead of being recorded with an
     anomaly note — with an identical message on every backend.
     """
+
+    #: True while a ``bulk()`` scope is open (backends with a real scope).
+    _in_bulk = False
 
     def __init__(
         self,
@@ -427,12 +448,18 @@ class MovementDatabase(ABC):
         """
         raise StorageError(f"{type(self).__name__} does not support forgetting subjects")
 
+    def _refuse_in_bulk(self, action: str) -> None:
+        """Raise for a mutation an open ``bulk()`` scope could not roll back."""
+        if self._in_bulk:
+            raise StorageError(f"cannot {action} inside an open bulk() scope")
+
     # -- write-side validation ------------------------------------------ #
     def _validate_record(self, record: MovementRecord) -> None:
-        if self._hierarchy is not None and not self._hierarchy.is_primitive(record.location):
-            raise StorageError(
-                f"movement references unknown primitive location {record.location!r}"
-            )
+        self._validate_location(record.location)
+
+    def _validate_location(self, location: str) -> None:
+        if self._hierarchy is not None and not self._hierarchy.is_primitive(location):
+            raise StorageError(f"movement references unknown primitive location {location!r}")
 
     def _check_strict_exit(self, record: MovementRecord) -> None:
         if not self._strict:
@@ -447,10 +474,17 @@ class MovementDatabase(ABC):
         Strict exits are checked by replaying the batch onto a scratch
         projection seeded with the current occupancy, so the error message
         is the one :meth:`OccupancyService.check_exit` produces — identical
-        to the single-record path on every backend.
+        to the single-record path on every backend.  Each distinct location
+        is checked once; when one is unknown, the batch is rescanned in
+        first-occurrence order, so the error names the location the
+        per-record check would have named.
         """
-        for record in records:
-            self._validate_record(record)
+        hierarchy = self._hierarchy
+        if hierarchy is not None and not all(
+            map(hierarchy.is_primitive, {record.location for record in records})
+        ):
+            for location in dict.fromkeys(record.location for record in records):
+                self._validate_location(location)
         if not self._strict:
             return
         scratch = OccupancyService(track_timelines=False)
@@ -705,11 +739,17 @@ class InMemoryMovementDatabase(MovementDatabase):
     def bulk(self) -> Iterator[None]:
         """Make a multi-write scope all-or-nothing, mirroring SQLite's.
 
-        On failure the records appended inside the scope are truncated away
-        and the projection is restored from a snapshot taken at entry — so
-        ``observe_many``/ingest batches that die mid-way (a strict-mode
-        inconsistent exit) leave the *store* exactly as it was, on this
-        backend just like on SQLite.
+        The scope is an occupancy transaction (``OccupancyService.begin``):
+        the fold journals each key it touches, so the scope costs
+        O(keys touched), not O(history).  On failure the records appended
+        inside the scope are truncated away and the journal rolls the
+        projection back to its state at entry — so ``observe_many``/ingest
+        batches that die mid-way (a strict-mode inconsistent exit) leave the
+        *store* exactly as it was, on this backend just like on SQLite.
+        Anomaly notes and histogram counts of records committed before the
+        scope survive the rollback.  ``checkpoint()``, ``clear()``,
+        ``import_archived()`` and ``forget_subjects()`` raise
+        :class:`~repro.errors.StorageError` inside an open scope.
         """
         if self._in_bulk:
             yield
@@ -717,22 +757,23 @@ class InMemoryMovementDatabase(MovementDatabase):
         with self._txn_lock:
             mark = len(self._records)
             recorded = self._total_recorded
-            state = self._occupancy.snapshot()
+            self._occupancy.begin()
             self._in_bulk = True
             try:
                 yield
             except Exception:
                 del self._records[mark:]
                 self._total_recorded = recorded
-                self._occupancy.restore(state)
+                self._occupancy.rollback()
                 raise
             finally:
+                # Keeps the scope's folds; a no-op once rolled back.
+                self._occupancy.commit()
                 self._in_bulk = False
 
     def checkpoint(self, *, compact: bool = True) -> Checkpoint:
         with self._txn_lock:
-            if self._in_bulk:
-                raise StorageError("cannot checkpoint inside an open bulk() scope")
+            self._refuse_in_bulk("checkpoint")
             return self._checkpoint_locked(compact)
 
     def _checkpoint_locked(self, compact: bool) -> Checkpoint:
@@ -786,6 +827,7 @@ class InMemoryMovementDatabase(MovementDatabase):
 
     def clear(self) -> None:
         with self._txn_lock:
+            self._refuse_in_bulk("clear the store")
             self._records.clear()
             self._archive.clear()
             self._total_recorded = 0
@@ -800,6 +842,7 @@ class InMemoryMovementDatabase(MovementDatabase):
     ) -> int:
         batch = list(records)
         with self._txn_lock:
+            self._refuse_in_bulk("import an archive slice")
             for record in batch:
                 self._validate_record(record)
             notices = self._notices_for(batch)
@@ -815,6 +858,7 @@ class InMemoryMovementDatabase(MovementDatabase):
     def forget_subjects(self, subjects: Iterable[str]) -> List[LocationName]:
         wanted = {subject_name(subject) for subject in subjects}
         with self._txn_lock:
+            self._refuse_in_bulk("forget subjects")
             affected = {
                 record.location
                 for record in self._records + self._archive
@@ -912,7 +956,10 @@ class ShardedInMemoryMovementDatabase(MovementDatabase):
         return record
 
     def record_many(self, records: Iterable[MovementRecord]) -> List[MovementRecord]:
-        batch = list(records)
+        # A list is read in place: the log keeps the per-shard partitions,
+        # never the caller's list, and a 100k-record copy would only give
+        # the garbage collector another young container to traverse.
+        batch = records if type(records) is list else list(records)
         if self._strict:
             # Strict validation replays the batch against the *current*
             # occupancy, which must not move until the batch lands.
@@ -938,10 +985,17 @@ class ShardedInMemoryMovementDatabase(MovementDatabase):
             self._next_seq += len(batch)
             self._recorded_total += len(batch)
         # Partition once (memoized shard lookup), then land each partition
-        # as one log segment + one projection fold under its shard's lock —
-        # this plus apply_many is the ingest hot path.
-        for index, records in self._occupancy.partition(batch).items():
-            with self._occupancy.locked_shard(index) as projection:
+        # as one log segment + one projection fold — this plus apply_many is
+        # the ingest hot path.  The batch holds every shard it touches for
+        # the whole landing: a writer whose batch overlaps waits on a shard
+        # lock instead of competing for the interpreter lock, which under
+        # CPython's GIL would only switch threads every few milliseconds
+        # without adding any parallelism.  Batches on disjoint shards still
+        # land concurrently.
+        partitions = self._occupancy.partition(batch)
+        with self._occupancy.locked_shards(partitions) as projections:
+            for index, projection in projections.items():
+                records = partitions[index]
                 self._shard_records[index].append((base, records))
                 projection.apply_many(records)
 
@@ -1404,8 +1458,7 @@ class SqliteMovementDatabase(MovementDatabase):
         then bounded by events past this checkpoint.
         """
         with self._txn_lock:
-            if self._in_bulk:
-                raise StorageError("cannot checkpoint inside an open bulk() scope")
+            self._refuse_in_bulk("checkpoint")
             return self._checkpoint_locked(compact)
 
     def _checkpoint_locked(self, compact: bool) -> Checkpoint:
@@ -1697,16 +1750,18 @@ class SqliteMovementDatabase(MovementDatabase):
                 self._write_batch(batch)
                 self._notify(notices)
                 return batch
-            state = self._occupancy.snapshot()
             applied = self._applied_seq
+            self._occupancy.begin()
             try:
                 self._write_batch(batch)
                 self._connection.commit()
             except Exception:
                 self._connection.rollback()
-                self._occupancy.restore(state)
+                self._occupancy.rollback()
                 self._applied_seq = applied
                 raise
+            finally:
+                self._occupancy.commit()
             self._notify(notices)
             return batch
 
@@ -1716,8 +1771,7 @@ class SqliteMovementDatabase(MovementDatabase):
             "INSERT INTO movements (time, subject, location, kind) VALUES (?, ?, ?, ?)",
             [(r.time, r.subject, r.location, r.kind.value) for r in batch],
         )
-        for record in batch:
-            self._occupancy.apply(record)
+        self._occupancy.apply_many(batch)
         self._sync_derived(
             subjects={record.subject for record in batch},
             pairs={
@@ -1772,9 +1826,15 @@ class SqliteMovementDatabase(MovementDatabase):
     def bulk(self) -> Iterator[None]:
         """Defer the commit until the end of the scope (one transaction).
 
-        On failure the SQL transaction rolls back and the projection is
-        restored from a snapshot taken at scope entry — committed state,
-        including in-process anomaly notes and histograms, survives intact.
+        The scope is also an occupancy transaction
+        (``OccupancyService.begin``): the fold journals each key it touches,
+        so the scope costs O(keys touched), not O(projection size).  On
+        failure the SQL transaction rolls back and the journal rolls the
+        projection back to its state at scope entry — committed state,
+        including the in-process anomaly notes and histograms of records
+        committed before the scope, survives intact.  ``checkpoint()``,
+        ``clear()``, ``import_archived()`` and ``forget_subjects()`` raise
+        :class:`~repro.errors.StorageError` inside an open scope.
         """
         if self._in_bulk:
             yield
@@ -1788,24 +1848,27 @@ class SqliteMovementDatabase(MovementDatabase):
             except Exception:
                 self._connection.rollback()
                 raise
+            self._occupancy.begin()
             self._in_bulk = True
-            state = self._occupancy.snapshot()
             applied = self._applied_seq
             try:
                 yield
             except Exception:
                 self._connection.rollback()
-                self._occupancy.restore(state)
+                self._occupancy.rollback()
                 self._applied_seq = applied
                 raise
             else:
                 self._stamp_applied()
                 self._connection.commit()
             finally:
+                # Keeps the scope's folds; a no-op once rolled back.
+                self._occupancy.commit()
                 self._in_bulk = False
 
     def clear(self) -> None:
         with self._txn_lock:
+            self._refuse_in_bulk("clear the store")
             self._clear_locked()
 
     def _clear_locked(self) -> None:
@@ -1886,8 +1949,7 @@ class SqliteMovementDatabase(MovementDatabase):
     ) -> int:
         batch = list(records)
         with self._txn_lock:
-            if self._in_bulk:
-                raise StorageError("cannot import an archive slice inside an open bulk() scope")
+            self._refuse_in_bulk("import an archive slice")
             self._begin_immediate()
             try:
                 self._pickup_locked()
@@ -1897,7 +1959,7 @@ class SqliteMovementDatabase(MovementDatabase):
                 self._connection.rollback()
                 raise
             notices = self._notices_for(batch)
-            state = self._occupancy.snapshot()
+            self._occupancy.begin()
             try:
                 # Imported rows get seqs BELOW zero (and below any earlier
                 # import): they must never enter the ``seq > applied`` pickup
@@ -1933,16 +1995,17 @@ class SqliteMovementDatabase(MovementDatabase):
                 self._connection.commit()
             except Exception:
                 self._connection.rollback()
-                self._occupancy.restore(state)
+                self._occupancy.rollback()
                 raise
+            finally:
+                self._occupancy.commit()
             self._notify(notices)
             return len(batch)
 
     def forget_subjects(self, subjects: Iterable[str]) -> List[LocationName]:
         wanted = [subject_name(subject) for subject in subjects]
         with self._txn_lock:
-            if self._in_bulk:
-                raise StorageError("cannot forget subjects inside an open bulk() scope")
+            self._refuse_in_bulk("forget subjects")
             self._begin_immediate()
             try:
                 self._pickup_locked()

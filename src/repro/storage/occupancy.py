@@ -28,6 +28,23 @@ Anomaly notes and entry histograms are **in-process observability state**:
 they accumulate for the lifetime of the owning database object and start
 empty again when a persistent SQLite file is reopened (the occupancy map
 and entry counters, by contrast, are persisted in the derived tables).
+
+**Transactions.**  The backends' write scopes (``bulk()``, a standalone
+SQLite ``record_many``, ``import_archived``) bracket their folds with
+:meth:`OccupancyService.begin` and :meth:`~OccupancyService.commit` or
+:meth:`~OccupancyService.rollback`.  While a transaction is open the fold
+journals each key's prior value the first time it touches the key — the
+occupancy map and occupant sets (the *previous* location's set included),
+the entry counters, last entry/movement, the touched pair's timeline
+length, the touched histogram buckets — plus the anomaly list's length.
+A transaction therefore costs O(keys touched), not O(projection size).
+Rollback writes the prior values back, deletes the keys the transaction
+created and truncates the anomaly notes, so the projection equals its state
+at ``begin()``: anomaly notes and histogram counts of records committed
+*before* the scope survive, those of the rolled-back records do not.
+:meth:`~OccupancyService.clear`, :meth:`~OccupancyService.load` and
+:meth:`~OccupancyService.forget_subject` are refused while a transaction is
+open, because the journal could not undo them.
 """
 
 from __future__ import annotations
@@ -46,6 +63,190 @@ __all__ = ["OccupancyAnomaly", "OccupancyService"]
 
 #: Default width (in chronons) of the entry-histogram buckets.
 DEFAULT_HISTOGRAM_BUCKET = 64
+
+#: Journal marker for "the key was absent before the transaction touched it".
+_MISSING = object()
+
+_ENTER = None
+
+
+def _enter_kind():
+    """``MovementKind.ENTER``, imported lazily (movement_db imports this module)."""
+    global _ENTER
+    if _ENTER is None:
+        from repro.storage.movement_db import MovementKind
+
+        _ENTER = MovementKind.ENTER
+    return _ENTER
+
+
+def _put(mapping: dict, key, value) -> None:
+    """Write a journaled prior value back: delete the key if it was absent."""
+    if value is _MISSING:
+        mapping.pop(key, None)
+    else:
+        mapping[key] = value
+
+
+class _Journal:
+    """The undo journal of one open :class:`OccupancyService` transaction.
+
+    It holds references to the service's maps and, before the fold applies
+    each record, :meth:`note` saves the prior value of every key the record
+    is about to change — only the first time the transaction touches the
+    key (:data:`_MISSING` when the key was absent):
+
+    * ``subjects`` — subject → (``_inside``, ``_inside_since``);
+    * ``pairs`` — (subject, location) → (``_entry_counts``, ``_last_entry``,
+      ``_last_movement``, the ``_timelines`` list's length, or ``None``
+      when timelines are off);
+    * ``members`` — (location, subject) → membership in ``_occupants``,
+      the previous location's set included;
+    * ``buckets`` — (location, bucket) → the ``_histograms`` count;
+    * ``timeline_copies`` — pair → a copy of the pre-transaction list, taken
+      only before an out-of-order entry is inserted mid-list (a length
+      cannot undo that).
+
+    ``new_occupant_sets`` / ``new_histograms`` list the locations whose set
+    or bucket dict the transaction created, and ``anomaly_mark`` is the
+    anomaly list's length at :meth:`OccupancyService.begin`.
+    """
+
+    __slots__ = (
+        "_inside",
+        "_inside_since",
+        "_occupants",
+        "_entry_counts",
+        "_last_entry",
+        "_last_movement",
+        "_timelines",
+        "_histograms",
+        "_anomalies",
+        "_bucket",
+        "subjects",
+        "pairs",
+        "members",
+        "buckets",
+        "timeline_copies",
+        "new_occupant_sets",
+        "new_histograms",
+        "anomaly_mark",
+    )
+
+    def __init__(self, service: "OccupancyService") -> None:
+        self._inside = service._inside
+        self._inside_since = service._inside_since
+        self._occupants = service._occupants
+        self._entry_counts = service._entry_counts
+        self._last_entry = service._last_entry
+        self._last_movement = service._last_movement
+        self._timelines = service._timelines if service._track_timelines else None
+        self._histograms = service._histograms
+        self._anomalies = service._anomalies
+        self._bucket = service._bucket
+        self.subjects: Dict[str, tuple] = {}
+        self.pairs: Dict[Tuple[str, str], tuple] = {}
+        self.members: Dict[Tuple[str, str], bool] = {}
+        self.buckets: Dict[Tuple[str, int], object] = {}
+        self.timeline_copies: Dict[Tuple[str, str], List[int]] = {}
+        self.new_occupant_sets: List[str] = []
+        self.new_histograms: List[str] = []
+        self.anomaly_mark = len(self._anomalies)
+
+    def size(self) -> int:
+        return (
+            len(self.subjects)
+            + len(self.pairs)
+            + len(self.members)
+            + len(self.buckets)
+            + len(self.timeline_copies)
+            + len(self.new_occupant_sets)
+            + len(self.new_histograms)
+        )
+
+    def note(self, record: "MovementRecord", enter) -> None:
+        """Save what folding *record* will change, before it is folded."""
+        subject, location = record.subject, record.location
+        pair = (subject, location)
+        inside = self._inside
+        timelines = self._timelines
+        if subject not in self.subjects:
+            self.subjects[subject] = (
+                inside.get(subject, _MISSING),
+                self._inside_since.get(subject, _MISSING),
+            )
+        if pair not in self.pairs:
+            if timelines is None:
+                length = None
+            else:
+                timeline = timelines.get(pair)
+                length = _MISSING if timeline is None else len(timeline)
+            self.pairs[pair] = (
+                self._entry_counts.get(pair, _MISSING),
+                self._last_entry.get(pair, _MISSING),
+                self._last_movement.get(pair, _MISSING),
+                length,
+            )
+        tracked = inside.get(subject)
+        occupants = self._occupants
+        members = self.members
+        if record.kind is enter:
+            if tracked is not None and (tracked, subject) not in members:
+                members[(tracked, subject)] = subject in occupants[tracked]
+            current = occupants.get(location)
+            if current is None:
+                self.new_occupant_sets.append(location)
+            if (location, subject) not in members:
+                members[(location, subject)] = current is not None and subject in current
+            histogram = self._histograms.get(location)
+            if histogram is None:
+                self.new_histograms.append(location)
+                histogram = {}
+            key = (location, record.time // self._bucket)
+            if key not in self.buckets:
+                self.buckets[key] = histogram.get(key[1], _MISSING)
+            if timelines is not None and pair not in self.timeline_copies:
+                timeline = timelines.get(pair)
+                length = self.pairs[pair][3]
+                if timeline and timeline[-1] > record.time and length is not _MISSING:
+                    # Until now the transaction only appended to this list,
+                    # so its first *length* times are the pre-transaction list.
+                    self.timeline_copies[pair] = timeline[:length]
+        elif tracked == location and (location, subject) not in members:
+            current = occupants.get(location)
+            if current is not None:
+                members[(location, subject)] = subject in current
+
+    def undo(self) -> None:
+        """Write every saved value back and delete the keys the transaction made."""
+        for subject, (location, since) in self.subjects.items():
+            _put(self._inside, subject, location)
+            _put(self._inside_since, subject, since)
+        occupants = self._occupants
+        for (location, subject), was_member in self.members.items():
+            if was_member:
+                occupants[location].add(subject)
+            else:
+                occupants[location].discard(subject)
+        for location in self.new_occupant_sets:
+            del occupants[location]
+        timelines = self._timelines
+        for pair, (count, entry, movement, length) in self.pairs.items():
+            _put(self._entry_counts, pair, count)
+            _put(self._last_entry, pair, entry)
+            _put(self._last_movement, pair, movement)
+            if length is _MISSING:
+                timelines.pop(pair, None)
+            elif length is not None:
+                del timelines[pair][length:]
+        if timelines is not None:
+            timelines.update(self.timeline_copies)
+        histograms = self._histograms
+        for (location, bucket), count in self.buckets.items():
+            _put(histograms[location], bucket, count)
+        for location in self.new_histograms:
+            del histograms[location]
+        del self._anomalies[self.anomaly_mark :]
 
 
 @dataclass(frozen=True)
@@ -87,6 +288,7 @@ class OccupancyService:
         "_timelines",
         "_histograms",
         "_anomalies",
+        "_journal",
     )
 
     def __init__(
@@ -101,6 +303,7 @@ class OccupancyService:
             )
         self._track_timelines = track_timelines
         self._bucket = histogram_bucket
+        self._journal: Optional[_Journal] = None
         self.clear()
 
     # ------------------------------------------------------------------ #
@@ -108,9 +311,7 @@ class OccupancyService:
     # ------------------------------------------------------------------ #
     def check_exit(self, record: "MovementRecord") -> Optional[OccupancyAnomaly]:
         """The anomaly an EXIT record would introduce, without applying it."""
-        from repro.storage.movement_db import MovementKind
-
-        if record.kind is not MovementKind.EXIT:
+        if record.kind is _enter_kind():
             return None
         tracked = self._inside.get(record.subject)
         if tracked is None:
@@ -131,55 +332,19 @@ class OccupancyService:
 
     def apply(self, record: "MovementRecord") -> None:
         """Fold one movement record into the projection (O(log n) worst case)."""
-        from repro.storage.movement_db import MovementKind
-
-        subject, location = record.subject, record.location
-        pair = (subject, location)
-        if record.kind is MovementKind.ENTER:
-            previous = self._inside.get(subject)
-            if previous is not None:
-                self._occupants[previous].discard(subject)
-            self._inside[subject] = location
-            self._inside_since[subject] = record.time
-            self._occupants.setdefault(location, set()).add(subject)
-            self._entry_counts[pair] = self._entry_counts.get(pair, 0) + 1
-            self._last_entry[pair] = record
-            if self._track_timelines:
-                timeline = self._timelines.setdefault(pair, [])
-                if not timeline or timeline[-1] <= record.time:
-                    timeline.append(record.time)
-                else:  # out-of-order arrival: keep the timeline sorted
-                    bisect.insort(timeline, record.time)
-            histogram = self._histograms.setdefault(location, {})
-            bucket = record.time // self._bucket
-            histogram[bucket] = histogram.get(bucket, 0) + 1
-        else:
-            anomaly = self.check_exit(record)
-            if anomaly is not None:
-                # The bogus exit is noted but does not evict the subject from
-                # wherever they are actually tracked (if anywhere).
-                self._anomalies.append(anomaly)
-                self._last_movement[pair] = record
-                return
-            self._inside.pop(subject, None)
-            self._inside_since.pop(subject, None)
-            occupants = self._occupants.get(location)
-            if occupants is not None:
-                occupants.discard(subject)
-        self._last_movement[pair] = record
+        self.apply_many((record,))
 
     def apply_many(self, records: Iterable["MovementRecord"]) -> None:
-        """Fold a batch of records, in order — the streaming-ingest hot loop.
+        """Fold a batch of records, in order — the one fold loop.
 
-        Semantically identical to calling :meth:`apply` per record, but the
-        loop body is inlined with every instance attribute bound to a local
-        once per batch: at tracker line rate the per-record attribute and
-        method dispatch of the one-at-a-time path dominates the actual dict
-        work, and hoisting it roughly halves the cost per event.
+        :meth:`apply` is this loop over a one-record batch.  The loop body is
+        inlined with every instance attribute bound to a local once per
+        batch: at tracker line rate the per-record attribute and method
+        dispatch dominates the actual dict work.  While a transaction is
+        open (:meth:`begin`), the journal notes each record's keys before
+        the record is folded.
         """
-        from repro.storage.movement_db import MovementKind
-
-        enter = MovementKind.ENTER
+        enter = _enter_kind()
         inside = self._inside
         inside_since = self._inside_since
         occupants = self._occupants
@@ -191,16 +356,20 @@ class OccupancyService:
         bucket_width = self._bucket
         anomalies = self._anomalies
         insort = bisect.insort
+        journal = self._journal
         for record in records:
+            if journal is not None:
+                journal.note(record, enter)
             subject = record.subject
             location = record.location
+            time = record.time
             pair = (subject, location)
             if record.kind is enter:
                 previous = inside.get(subject)
                 if previous is not None:
                     occupants[previous].discard(subject)
                 inside[subject] = location
-                inside_since[subject] = record.time
+                inside_since[subject] = time
                 members = occupants.get(location)
                 if members is None:
                     occupants[location] = {subject}
@@ -211,24 +380,26 @@ class OccupancyService:
                 if timelines is not None:
                     timeline = timelines.get(pair)
                     if timeline is None:
-                        timelines[pair] = [record.time]
-                    elif timeline[-1] <= record.time:
-                        timeline.append(record.time)
+                        timelines[pair] = [time]
+                    elif timeline[-1] <= time:
+                        timeline.append(time)
                     else:  # out-of-order arrival: keep the timeline sorted
-                        insort(timeline, record.time)
+                        insort(timeline, time)
                 histogram = histograms.get(location)
                 if histogram is None:
                     histogram = histograms[location] = {}
-                bucket = record.time // bucket_width
+                bucket = time // bucket_width
                 histogram[bucket] = histogram.get(bucket, 0) + 1
             else:
                 tracked = inside.get(subject)
                 if tracked != location:
+                    # The bogus exit is noted but does not evict the subject
+                    # from wherever they are actually tracked (if anywhere).
                     if tracked is None:
                         note = "exit observed but the subject is not tracked inside any location"
                     else:
                         note = f"exit observed while the subject is tracked inside {tracked!r}"
-                    anomalies.append(OccupancyAnomaly(record.time, subject, location, note))
+                    anomalies.append(OccupancyAnomaly(time, subject, location, note))
                     last_movement[pair] = record
                     continue
                 del inside[subject]
@@ -238,6 +409,43 @@ class OccupancyService:
                     members.discard(subject)
             last_movement[pair] = record
 
+    # ------------------------------------------------------------------ #
+    # Transactions
+    # ------------------------------------------------------------------ #
+    def begin(self) -> None:
+        """Open a transaction: journal every key the fold touches from now on.
+
+        The journal holds each touched key's prior value, recorded the first
+        time the key is touched, so a transaction costs O(keys touched) —
+        never O(projection size).  Transactions do not nest.
+        """
+        if self._journal is not None:
+            raise StorageError("an occupancy transaction is already open")
+        self._journal = _Journal(self)
+
+    def commit(self) -> None:
+        """Close the open transaction, keeping its changes (no-op when none is open)."""
+        self._journal = None
+
+    def rollback(self) -> None:
+        """Undo every fold since :meth:`begin` and close the transaction.
+
+        Journaled keys get their prior values back, keys the transaction
+        created are deleted, and anomaly notes it added are dropped — the
+        projection is then equal to its state at :meth:`begin`.
+        """
+        journal = self._journal
+        if journal is None:
+            raise StorageError("no occupancy transaction is open")
+        self._journal = None
+        journal.undo()
+
+    @property
+    def journal_size(self) -> int:
+        """Entries the open transaction's journal holds (0 when none is open)."""
+        journal = self._journal
+        return 0 if journal is None else journal.size()
+
     def forget_subject(self, subject: str) -> None:
         """Drop every trace of *subject* from the projection.
 
@@ -246,8 +454,10 @@ class OccupancyService:
         a stale ``WHO IS IN`` row on the old owner would double-count the
         subject across the fabric.  Anomaly notes for the subject are
         dropped with it; per-location histograms are aggregate counters and
-        deliberately keep the subject's past entries.
+        deliberately keep the subject's past entries.  Refused while a
+        transaction is open: the journal could not undo it.
         """
+        self._refuse_in_transaction("forget a subject")
         location = self._inside.pop(subject, None)
         self._inside_since.pop(subject, None)
         if location is not None:
@@ -266,7 +476,8 @@ class OccupancyService:
             self._anomalies = [a for a in self._anomalies if a.subject != subject]
 
     def clear(self) -> None:
-        """Reset the projection to the empty state."""
+        """Reset the projection to the empty state (refused inside a transaction)."""
+        self._refuse_in_transaction("clear the projection")
         self._inside: Dict[str, str] = {}
         self._inside_since: Dict[str, int] = {}
         self._occupants: Dict[str, Set[str]] = {}
@@ -305,7 +516,12 @@ class OccupancyService:
                 )
 
     def snapshot(self) -> tuple:
-        """An opaque copy of the full projection state (see :meth:`restore`)."""
+        """A full, independent copy of the projection state, as a tuple.
+
+        Checkpoints persist it (``checkpoint_state``) and tests compare two
+        of them for equality.  It costs O(projection size); transactions use
+        the journal instead (:meth:`begin`).
+        """
         return (
             dict(self._inside),
             dict(self._inside_since),
@@ -318,34 +534,9 @@ class OccupancyService:
             list(self._anomalies),
         )
 
-    def restore(self, state: tuple) -> None:
-        """Roll the projection back to a :meth:`snapshot`.
-
-        Used by the SQLite backend when a batch transaction rolls back:
-        unlike re-priming from the derived tables, this preserves the
-        in-process-only state (anomaly notes, histograms, last movements)
-        belonging to records that *did* commit.
-        """
-        (
-            inside,
-            inside_since,
-            occupants,
-            entry_counts,
-            last_entry,
-            last_movement,
-            timelines,
-            histograms,
-            anomalies,
-        ) = state
-        self._inside = dict(inside)
-        self._inside_since = dict(inside_since)
-        self._occupants = {location: set(members) for location, members in occupants.items()}
-        self._entry_counts = dict(entry_counts)
-        self._last_entry = dict(last_entry)
-        self._last_movement = dict(last_movement)
-        self._timelines = {pair: list(times) for pair, times in timelines.items()}
-        self._histograms = {location: dict(buckets) for location, buckets in histograms.items()}
-        self._anomalies = list(anomalies)
+    def _refuse_in_transaction(self, action: str) -> None:
+        if self._journal is not None:
+            raise StorageError(f"cannot {action} inside an open occupancy transaction")
 
     # ------------------------------------------------------------------ #
     # Reads

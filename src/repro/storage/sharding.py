@@ -187,21 +187,22 @@ class ShardedOccupancyService:
         return self._shards[self.shard_for(subject)]
 
     def partition(self, records: Iterable["MovementRecord"]) -> Dict[int, List["MovementRecord"]]:
-        """Group *records* by owning shard, preserving per-shard order."""
+        """Group *records* by owning shard, preserving per-shard order.
+
+        Returns the non-empty partitions keyed by shard index, in index
+        order.  The loop body is one memo lookup and one bound ``append``
+        per record; a subject missing from the memo is rare (once per
+        subject), so it is handled as the exception.
+        """
         cache = self._shard_cache
-        ring_shard_for = self._ring.shard_for
-        partitions: Dict[int, List["MovementRecord"]] = {}
+        parts: List[List["MovementRecord"]] = [[] for _ in self._shards]
+        appends = [part.append for part in parts]
         for record in records:
-            subject = record.subject
-            index = cache.get(subject)
-            if index is None:
-                index = cache[subject] = ring_shard_for(subject)
-            partition = partitions.get(index)
-            if partition is None:
-                partitions[index] = [record]
-            else:
-                partition.append(record)
-        return partitions
+            try:
+                appends[cache[record.subject]](record)
+            except KeyError:
+                appends[self.shard_for(record.subject)](record)
+        return {index: part for index, part in enumerate(parts) if part}
 
     # ------------------------------------------------------------------ #
     # Projection upkeep (shard-local, locked)
@@ -241,6 +242,26 @@ class ShardedOccupancyService:
         with self._locks[index]:
             yield self._shards[index]
 
+    @contextmanager
+    def locked_shards(self, indices: Iterable[int]):
+        """Hold the locks of shards *indices* at once and yield their projections.
+
+        The locks are taken in ascending index order, so two holders cannot
+        deadlock; every other path holds at most one shard lock at a time.
+        Yields an index → projection dict in that same order.
+        """
+        ordered = sorted(indices)
+        locks = self._locks
+        held: List[int] = []
+        try:
+            for index in ordered:
+                locks[index].acquire()
+                held.append(index)
+            yield {index: self._shards[index] for index in ordered}
+        finally:
+            for index in reversed(held):
+                locks[index].release()
+
     def forget_subject(self, subject: str) -> None:
         """Drop every trace of *subject* from its owning shard (see
         :meth:`OccupancyService.forget_subject`)."""
@@ -276,22 +297,35 @@ class ShardedOccupancyService:
                 )
 
     def snapshot(self) -> tuple:
-        """A tuple of per-shard snapshots (see :meth:`restore`)."""
+        """A tuple of per-shard snapshots (see ``OccupancyService.snapshot``)."""
         state = []
         for index, shard in enumerate(self._shards):
             with self._locks[index]:
                 state.append(shard.snapshot())
         return tuple(state)
 
-    def restore(self, state: tuple) -> None:
-        """Roll every shard back to a :meth:`snapshot`."""
-        if len(state) != len(self._shards):
-            raise StorageError(
-                f"snapshot holds {len(state)} shard(s) but the service has {len(self._shards)}"
-            )
-        for index, shard_state in enumerate(state):
+    def begin(self) -> None:
+        """Open a transaction on every shard (see ``OccupancyService.begin``)."""
+        for index, shard in enumerate(self._shards):
             with self._locks[index]:
-                self._shards[index].restore(shard_state)
+                shard.begin()
+
+    def commit(self) -> None:
+        """Close every shard's transaction, keeping its changes."""
+        for index, shard in enumerate(self._shards):
+            with self._locks[index]:
+                shard.commit()
+
+    def rollback(self) -> None:
+        """Undo every shard's folds since :meth:`begin`."""
+        for index, shard in enumerate(self._shards):
+            with self._locks[index]:
+                shard.rollback()
+
+    @property
+    def journal_size(self) -> int:
+        """Journal entries summed over the shards."""
+        return sum(shard.journal_size for shard in self._shards)
 
     # ------------------------------------------------------------------ #
     # Reads (single-shard point reads, lazily merged cross-shard reads)

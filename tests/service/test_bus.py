@@ -215,6 +215,37 @@ class TestRequestSync:
                 link_a.close()
                 link_b.close()
 
+    def test_request_sync_waits_for_a_link_still_connecting(self):
+        # A barrier issued before the link's first hello must not report
+        # success (or failure) early: it waits for the handshake, so the
+        # events published while connecting are sequenced before its pong.
+        class SlowLink(BusLink):
+            def _connect_and_read(self):
+                time.sleep(0.3)
+                return super()._connect_and_read()
+
+        bus = InvalidationBus()
+        with bus:
+            a_rec, b_rec = Recorder(), Recorder()
+            link_b = make_link(bus, "b", b_rec)
+            link_a = SlowLink(
+                bus.address,
+                replica_id="a",
+                on_events=a_rec.on_events,
+                on_resync=a_rec.on_resync,
+                reconnect_delay=0.05,
+            )
+            try:
+                assert wait_until(lambda: link_b.connected)
+                assert not link_a.connected
+                link_a.publish([{"kind": "occupancy", "counts": {"HOT": 6}}])
+                assert link_a.request_sync()
+                assert link_b.request_sync()
+                assert {"kind": "occupancy", "counts": {"HOT": 6}} in b_rec.payloads
+            finally:
+                link_a.close()
+                link_b.close()
+
     def test_request_sync_reports_failure_when_down(self):
         bus = InvalidationBus()
         bus.start()

@@ -82,6 +82,48 @@ def test_record_batch_round_trip():
     assert protocol.records_from_wire(protocol.records_to_wire(records)) == records
 
 
+def test_record_batch_decodes_like_one_record_at_a_time():
+    # Repeated names take the batch decoder's memoized path; tuples, a
+    # location-object name and fresh names take the full one.
+    items = [
+        [1, "Alice", "CAIS", "enter"],
+        (2, "Alice", "CAIS", "exit"),
+        [3, "Bob", "CAIS", "enter"],
+        [4, "Alice", "Lab", "enter"],
+        [5, "Bob", "CAIS", "exit"],
+        [6, "Alice", "Lab", MovementKind.EXIT],
+    ]
+    decoded = protocol.records_from_wire(items)
+    assert decoded == [protocol.record_from_wire(item) for item in items]
+    assert all(type(record.kind) is MovementKind for record in decoded)
+    assert hash(decoded[4]) == hash(MovementRecord(5, "Bob", "CAIS", MovementKind.EXIT))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [True, "Alice", "CAIS", "enter"],  # a bool is not a chronon
+        [-1, "Alice", "CAIS", "enter"],
+        [1.5, "Alice", "CAIS", "enter"],
+        [2, " Alice", "CAIS", "enter"],
+        [2, "Alice", "", "enter"],
+        [2, "Alice", "CAIS", "teleport"],
+        [2, ["Alice"], "CAIS", "enter"],  # unhashable: must not reach the memo
+        [2, "Alice", "CAIS"],
+    ],
+)
+def test_record_batch_rejects_what_one_record_rejects(bad):
+    # The bad record comes after valid ones, so its subject, location and
+    # kind may already be memoized: the batch must still reject it, with
+    # the single-record decoder's message.
+    valid = [[1, "Alice", "CAIS", "enter"], [1, "Alice", "CAIS", "exit"]]
+    with pytest.raises(ProtocolError) as single:
+        protocol.record_from_wire(bad)
+    with pytest.raises(ProtocolError) as batch:
+        protocol.records_from_wire(valid + [bad])
+    assert str(batch.value) == str(single.value)
+
+
 def test_invalid_record_wire_raises():
     with pytest.raises(ProtocolError):
         protocol.record_from_wire([1, "Alice", "CAIS"])  # not 4 fields

@@ -211,6 +211,13 @@ def replica_pair(tmp_path):
     )
     server_b.start()
     try:
+        # Each replica's first bus connection runs a full resync (pickup
+        # plus a cache clear) on the link thread; wait for both, or a test
+        # that warms a cache right away can have the resync wipe it.
+        assert wait_until(
+            lambda: server_a.coherence.stats["recoveries"] >= 1
+            and server_b.coherence.stats["recoveries"] >= 1
+        )
         yield server_a, server_b
     finally:
         server_b.stop()

@@ -124,22 +124,6 @@ class TestShardMergeParity:
         sharded.apply(MovementRecord(2, "Carol", "C", MovementKind.EXIT))
         assert [anomaly.time for anomaly in sharded.anomalies] == [2, 5, 9]
 
-    def test_snapshot_restore_round_trip(self, trace):
-        _, _, events = trace
-        sharded = ShardedOccupancyService(3)
-        sharded.apply_many(events[:2_000])
-        state = sharded.snapshot()
-        sharded.apply_many(events[2_000:])
-        sharded.restore(state)
-        oracle = OccupancyService()
-        oracle.apply_many(events[:2_000])
-        assert sharded.subjects_inside() == oracle.subjects_inside()
-        assert sharded.entry_counts() == oracle.entry_counts()
-
-    def test_restore_rejects_mismatched_shard_count(self):
-        with pytest.raises(StorageError):
-            ShardedOccupancyService(2).restore(ShardedOccupancyService(3).snapshot())
-
 
 class TestShardedDatabase:
     def test_state_matches_unsharded_database(self, trace):
@@ -215,6 +199,55 @@ class TestShardedDatabase:
         with pytest.raises(StorageError):
             sharded.record(MovementRecord(1, "Alice", "nowhere", MovementKind.ENTER))
         assert len(sharded) == 0
+
+    def test_batch_error_names_first_unknown_location(self, trace):
+        hierarchy, _, _ = trace
+        known = sorted(hierarchy.primitive_names)[0]
+        batch = [
+            MovementRecord(1, "Alice", known, MovementKind.ENTER),
+            MovementRecord(2, "Bob", "nowhere", MovementKind.ENTER),
+            MovementRecord(3, "Carol", "elsewhere", MovementKind.ENTER),
+        ]
+        for database in (
+            InMemoryMovementDatabase(hierarchy),
+            ShardedInMemoryMovementDatabase(hierarchy, shards=2),
+        ):
+            with pytest.raises(StorageError, match="'nowhere'"):
+                database.record_many(batch)
+            assert len(database) == 0
+
+    def test_caller_list_is_not_aliased_by_the_log(self, trace):
+        # record_many reads a list argument in place; reusing the buffer
+        # afterwards must not rewrite what was recorded.
+        hierarchy, subjects, events = trace
+        sharded = ShardedInMemoryMovementDatabase(hierarchy, shards=3)
+        buffer = list(events[:200])
+        sharded.record_many(buffer)
+        buffer[:] = events[200:400]
+        assert len(sharded) == 200
+        for subject in subjects:
+            assert sharded.history(subject=subject) == [
+                record for record in events[:200] if record.subject == subject
+            ]
+
+    def test_partition_is_index_ordered_and_keeps_arrival_order(self, trace):
+        _, _, events = trace
+        service = ShardedOccupancyService(4)
+        partitions = service.partition(events[:500])
+        assert list(partitions) == sorted(partitions)
+        assert all(partitions.values())
+        for index, records in partitions.items():
+            assert records == [r for r in events[:500] if service.shard_for(r.subject) == index]
+
+    def test_locked_shards_holds_every_lock_and_releases_on_error(self):
+        service = ShardedOccupancyService(4)
+        with pytest.raises(RuntimeError):
+            with service.locked_shards([3, 1]) as projections:
+                assert list(projections) == [1, 3]
+                assert service._locks[1].locked() and service._locks[3].locked()
+                assert not service._locks[0].locked()
+                raise RuntimeError("boom")
+        assert not any(lock.locked() for lock in service._locks)
 
     def test_clear_resets_everything(self, trace):
         hierarchy, _, events = trace
