@@ -12,14 +12,17 @@ This benchmark measures the whole matrix the budget is written in —
 **cached and uncached × binary vs NDJSON × point vs ``decide_many``** — in
 both decisions per wall-second and decisions per CPU-second ("per core":
 client and server share this process, so ``time.process_time`` captures the
-full cost of a decision crossing the wire).  The asserted floor: on the
-uncached ``decide_many`` path, the binary protocol in its default elided
-form must sustain **≥2x** the throughput of the legacy NDJSON protocol in
-*its* default form (traced responses — exactly what every pre-PR-7 client
-received).  That floor's ratio changes two things at once, codec and trace
-elision, so the uncached server also runs NDJSON *elided*:
-``binary_over_json_elided_{point,batch}`` vary the codec alone and carry
-no floor.  Everything measured lands in ``BENCH_wire.json``.
+full cost of a decision crossing the wire).  The uncached server also runs
+NDJSON *elided*: ``binary_over_json_elided_{point,batch}`` vary the codec
+alone.  Every timing cell and ratio lands in ``BENCH_wire.json`` and none
+is floored — wall-clock ratios on shared CPUs are perfbench's to judge.
+
+The asserted floor is deterministic and covers the same two variables the
+old throughput floor did, codec plus trace elision: the response bytes per
+decision that an elided binary ``decide_many`` saves over the traced NDJSON
+one, for the same batch on fresh connections.  (The throughput floor rested
+on the traced evaluator costing ~2.5x a trace-free one; there is one cheap
+evaluator now, so that ratio measured the evaluator, not the wire.)
 """
 
 import time as _time
@@ -39,9 +42,12 @@ POOL_SIZE = 1_000
 BATCH_DECIDES = 12_000
 POINT_DECIDES = 1_500
 DECIDE_CHUNK = 2_000
-#: Uncached decide_many: binary (elided, the new default) vs NDJSON
-#: (traced, the legacy default) must clear this throughput ratio.
-BINARY_BATCH_FLOOR = 2.0
+#: Uncached decide_many of one DECIDE_CHUNK batch: response bytes per
+#: decision that binary (elided, the default) saves over NDJSON (traced, the
+#: legacy default).  Measured 648.4 (760.8 traced vs 112.5 elided) when
+#: this module runs alone; the traced side echoes request ids, which only
+#: grow longer when other modules ran first.
+BYTES_SAVED_FLOOR = 600.0
 
 
 def _hierarchy():
@@ -111,15 +117,53 @@ def _point_decides(client, stream, trace):
     return run
 
 
+class _CountingReader:
+    """Wraps a client's socket reader and counts the response bytes read."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.count = 0
+
+    def read(self, size=-1):
+        data = self._inner.read(size)
+        self.count += len(data)
+        return data
+
+    def readline(self, size=-1):
+        line = self._inner.readline(size)
+        self.count += len(line)
+        return line
+
+    def close(self) -> None:
+        self._inner.close()
+
+
+def _response_bytes(server, wire, trace, requests):
+    """Bytes of one ``decide_many`` response, on a fresh connection."""
+    with ServiceClient(*server.address, wire=wire) as client:
+        assert client.wire == wire
+        reader = client._reader = _CountingReader(client._reader)
+        decisions = client.call("decide_many", requests=requests, trace=trace)["decisions"]
+        assert len(decisions) == len(requests)
+        return reader.count
+
+
 def test_binary_wire_decide_throughput_budget(table_printer, bench_json):
     hierarchy = _hierarchy()
     pool, batch_stream, point_stream = _streams(hierarchy)
+    sized_batch = batch_stream[:DECIDE_CHUNK]
+    response_bytes = {}
 
     cells = {}
     rows = []
     for cache_label, cache in (("uncached", None), ("cached", DecisionCache(maxsize=1 << 17))):
         engine = _seeded_engine(hierarchy)
         with LtamServer(engine, cache=cache) as server:
+            if cache is None:
+                response_bytes = {
+                    "json_traced": _response_bytes(server, "json", True, sized_batch),
+                    "binary_elided": _response_bytes(server, "binary", False, sized_batch),
+                }
             with ServiceClient(*server.address, wire="json") as json_client, ServiceClient(
                 *server.address, wire="binary"
             ) as binary_client:
@@ -178,9 +222,18 @@ def test_binary_wire_decide_throughput_budget(table_printer, bench_json):
             cells[f"uncached_{mode}_binary"]["decisions_per_sec"]
             / cells[f"uncached_{mode}_json_elided"]["decisions_per_sec"]
         )
-    headline = ratios["binary_over_json_uncached_batch"]
+    bytes_per_decision = {
+        name: count / len(sized_batch) for name, count in response_bytes.items()
+    }
+    saved = bytes_per_decision["json_traced"] - bytes_per_decision["binary_elided"]
     rows.append(
-        ["uncached", "batch", "binary/json", f"{headline:.2f}x", f"(floor {BINARY_BATCH_FLOOR}x)"]
+        [
+            "uncached",
+            "batch",
+            "binary/json",
+            f"{ratios['binary_over_json_uncached_batch']:.2f}x",
+            "(not floored)",
+        ]
     )
     for mode in ("batch", "point"):
         rows.append(
@@ -197,13 +250,30 @@ def test_binary_wire_decide_throughput_budget(table_printer, bench_json):
         ["cache", "mode", "wire", "decides/s", "decides/cpu-s"],
         rows,
     )
-    bench_json(cells=cells, ratios=ratios, floor=BINARY_BATCH_FLOOR)
+    table_printer(
+        f"Uncached decide_many response bytes per decision ({len(sized_batch)} decisions)",
+        ["json (traced)", "binary (elided)", "saved", "floor"],
+        [
+            [
+                f"{bytes_per_decision['json_traced']:.1f}",
+                f"{bytes_per_decision['binary_elided']:.1f}",
+                f"{saved:.1f}",
+                f"{BYTES_SAVED_FLOOR:.1f}",
+            ]
+        ],
+    )
+    bench_json(
+        cells=cells,
+        ratios=ratios,
+        response_bytes_per_decision=bytes_per_decision,
+        response_bytes_saved_per_decision=saved,
+        bytes_saved_floor=BYTES_SAVED_FLOOR,
+    )
 
-    assert headline >= BINARY_BATCH_FLOOR, (
-        f"binary decide_many only {headline:.2f}x the NDJSON protocol on the "
-        f"uncached path (floor {BINARY_BATCH_FLOOR}x): "
-        f"{cells['uncached_batch_binary']['decisions_per_sec']:,.0f}/s vs "
-        f"{cells['uncached_batch_json']['decisions_per_sec']:,.0f}/s"
+    assert saved >= BYTES_SAVED_FLOOR, (
+        f"elided binary decide_many saves only {saved:.1f} response bytes per decision "
+        f"over traced NDJSON (floor {BYTES_SAVED_FLOOR}): "
+        f"{bytes_per_decision['binary_elided']:.1f} vs {bytes_per_decision['json_traced']:.1f}"
     )
 
 

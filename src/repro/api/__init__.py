@@ -9,7 +9,7 @@ The enforcement architecture of Figure 3 is split XACML-style:
   denial alerts, and feeding movement observations to the monitor;
 * :class:`PolicyInformationPoint` (PIP) — the attribute services the stages
   consult (candidate lookup, entry counting, capacity), memoized by the
-  batch API :meth:`DecisionPoint.decide_many`;
+  batch API :meth:`DecisionPoint.decide_many` where that pays;
 * :class:`Ltam` — the facade composing all of the above, with fluent
   construction via :meth:`Ltam.builder` and :func:`grant`.
 
@@ -27,7 +27,7 @@ Typical use::
     engine.grant(grant("alice").at("meeting-room").during(9, 17).entries(3))
     decision = engine.decide((10, "alice", "meeting-room"))
     print(decision.explain())          # per-stage trace
-    decisions = engine.decide_many(requests)   # batched, shared lookups
+    decisions = engine.decide_many(requests)   # batched
 """
 
 from repro.api.decision import Decision, StageOutcome, StageResult

@@ -259,7 +259,7 @@ class Ltam:
         return self.pdp.decide(_coerce_request(request))
 
     def decide_many(self, requests: Iterable[RequestLike]) -> List[Decision]:
-        """Batch-evaluate requests, sharing lookups across the batch (no side effects)."""
+        """Batch-evaluate requests (no side effects); see :meth:`DecisionPoint.decide_many`."""
         return self.pdp.decide_many([_coerce_request(request) for request in requests])
 
     def enforce(self, request: RequestLike) -> Decision:
@@ -365,8 +365,9 @@ class Ltam:
         counts.  The previous function is kept and restored by
         :meth:`detach_occupancy_overlay`; attaching twice replaces the
         overlay without losing the original.  Batch evaluation's memoizing
-        PIP snapshots resolve ``occupancy_of`` through the live PIP at
-        lookup time, so the overlay applies there too.
+        PIP snapshots (SQLite-backed engines) resolve ``occupancy_of``
+        through the live PIP at lookup time, so the overlay applies there
+        too.
         """
         if self._occupancy_base is None:
             self._occupancy_base = self.pdp.info.occupancy_of

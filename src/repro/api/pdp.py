@@ -7,62 +7,48 @@ evaluates access requests against them, producing
 that granted or denied each request.  It performs **no side effects** — audit
 and alerting belong to the :class:`~repro.api.pep.EnforcementPoint`.
 
+There is one evaluator, and every decision carries its trace; ``trace=`` is a
+hint, and eliding traces from a response is the wire encoder's job.
+
 Attribute access is abstracted behind a :class:`PolicyInformationPoint` (the
 XACML PIP): the stages never see the databases directly, only the lookup
-functions.  That indirection is what makes the batch API fast —
-:meth:`DecisionPoint.decide_many` evaluates a whole request list against a
-memoizing snapshot of the PIP, so candidate lookups and entry-count scans are
-shared across all requests that touch the same ``(subject, location)`` pair.
+functions, which :meth:`DecisionPoint.decide_many` memoizes where that pays.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import EnforcementError
-from repro.core.authorization import UNLIMITED_ENTRIES, LocationTemporalAuthorization
+from repro.core.authorization import LocationTemporalAuthorization
 from repro.core.requests import AccessRequest, DenialReason
+from repro.storage.authorization_db import SqliteAuthorizationDatabase
+from repro.storage.movement_db import SqliteMovementDatabase
 from repro.temporal.interval import TimeInterval
-from repro.api.decision import Decision, StageOutcome, StageResult
-from repro.api.stages import (
-    CandidateLookupStage,
-    DecisionStage,
-    EntryBudgetStage,
-    EntryWindowStage,
-    EvaluationContext,
-    KnownLocationStage,
-    default_pipeline,
-)
+from repro.api.decision import Decision, StageOutcome, StageResult, _assemble
+from repro.api.stages import DecisionStage, EvaluationContext, default_pipeline
 
 __all__ = ["PolicyInformationPoint", "DecisionPoint"]
 
 
 # The service layer's telemetry is bound lazily at first use: the API layer
 # must not import :mod:`repro.service` at module time (the service package
-# imports the API back), and an embedded engine that never traces pays one
-# cached-global check per evaluation, nothing more.
-_trace_span = None
-_trace_event = None
+# imports the API back).  An embedded engine that never traces pays one
+# thread-local read per decision, nothing more.
+_active_trace = None
+_current_span_id = None
+
+_GRANT, _DENY = StageOutcome.GRANT, StageOutcome.DENY
 
 
-def _bind_telemetry() -> None:
-    global _trace_span, _trace_event
-    from repro.service.telemetry import trace_event, trace_span
+def _bind_telemetry():
+    global _active_trace, _current_span_id
+    from repro.service.telemetry import active_trace, current_span_id
 
-    _trace_span = trace_span
-    _trace_event = trace_event
-
-
-def _pipeline_span(name: str, **meta):
-    if _trace_span is None:
-        _bind_telemetry()
-    return _trace_span(name, **meta)
-
-
-def _pipeline_event(name: str, **meta) -> None:
-    if _trace_event is None:
-        _bind_telemetry()
-    _trace_event(name, **meta)
+    _current_span_id = current_span_id
+    _active_trace = active_trace
+    return active_trace
 
 
 class PolicyInformationPoint:
@@ -97,6 +83,7 @@ class PolicyInformationPoint:
         "capacity_of",
         "occupancy_of",
         "enterable_candidates",
+        "snapshot_pays",
     )
 
     def __init__(
@@ -117,6 +104,9 @@ class PolicyInformationPoint:
         self.capacity_of = capacity_of if capacity_of is not None else lambda location: None
         self.occupancy_of = occupancy_of if occupancy_of is not None else lambda location: 0
         self.enterable_candidates = enterable_candidates
+        # Whether every batch should read through a cached() snapshot: true
+        # for hand-wired lookups; for_components sets it for SQLite stores.
+        self.snapshot_pays = True
 
     @classmethod
     def for_components(
@@ -148,7 +138,7 @@ class PolicyInformationPoint:
             enterable_candidates = lambda subject, location, time: enterable_at(
                 time, subject=subject, location=location
             )
-        return cls(
+        info = cls(
             is_primitive=hierarchy.is_primitive,
             candidates_for=authorization_db.for_subject_location,
             entry_count=movement_db.entry_count,
@@ -156,6 +146,10 @@ class PolicyInformationPoint:
             occupancy_of=occupancy_of,
             enterable_candidates=enterable_candidates,
         )
+        info.snapshot_pays = isinstance(
+            authorization_db, SqliteAuthorizationDatabase
+        ) or isinstance(movement_db, SqliteMovementDatabase)
+        return info
 
     def cached(self) -> "PolicyInformationPoint":
         """A memoizing snapshot of this PIP for batch evaluation.
@@ -163,67 +157,38 @@ class PolicyInformationPoint:
         Safe only while the underlying databases do not change — decisions
         are pure, so a batch of them satisfies that by construction.
         """
-        base = self
-        primitive_cache: Dict[str, bool] = {}
-        candidate_cache: Dict[Tuple[str, str], Sequence[LocationTemporalAuthorization]] = {}
-        count_cache: Dict[Tuple[str, str, TimeInterval], int] = {}
-        occupancy_cache: Dict[str, int] = {}
-
-        def is_primitive(location: str) -> bool:
-            try:
-                return primitive_cache[location]
-            except KeyError:
-                primitive_cache[location] = result = base.is_primitive(location)
-                return result
-
-        def candidates_for(subject: str, location: str) -> Sequence[LocationTemporalAuthorization]:
-            key = (subject, location)
-            try:
-                return candidate_cache[key]
-            except KeyError:
-                candidate_cache[key] = result = tuple(base.candidates_for(subject, location))
-                return result
-
-        def entry_count(subject: str, location: str, window: TimeInterval) -> int:
-            key = (subject, location, window)
-            try:
-                return count_cache[key]
-            except KeyError:
-                count_cache[key] = result = base.entry_count(subject, location, window)
-                return result
-
-        def occupancy_of(location: str) -> int:
-            try:
-                return occupancy_cache[location]
-            except KeyError:
-                occupancy_cache[location] = result = base.occupancy_of(location)
-                return result
-
-        enterable_candidates = None
-        if base.enterable_candidates is not None:
-            enterable_cache: Dict[
-                Tuple[str, str, int], Sequence[LocationTemporalAuthorization]
-            ] = {}
-            base_enterable = base.enterable_candidates
-
-            def enterable_candidates(
-                subject: str, location: str, time: int
-            ) -> Sequence[LocationTemporalAuthorization]:
-                key = (subject, location, time)
-                try:
-                    return enterable_cache[key]
-                except KeyError:
-                    enterable_cache[key] = result = tuple(base_enterable(subject, location, time))
-                    return result
-
         return PolicyInformationPoint(
-            is_primitive=is_primitive,
-            candidates_for=candidates_for,
-            entry_count=entry_count,
-            capacity_of=base.capacity_of,
-            occupancy_of=occupancy_of,
-            enterable_candidates=enterable_candidates,
+            is_primitive=_memoized(self, "is_primitive"),
+            candidates_for=_memoized(self, "candidates_for", materialize=True),
+            entry_count=_memoized(self, "entry_count"),
+            capacity_of=self.capacity_of,
+            occupancy_of=_memoized(self, "occupancy_of"),
+            enterable_candidates=(
+                _memoized(self, "enterable_candidates", materialize=True)
+                if self.enterable_candidates is not None
+                else None
+            ),
         )
+
+
+def _memoized(base: PolicyInformationPoint, attribute: str, *, materialize: bool = False):
+    """Memoize ``base.<attribute>`` per argument tuple.
+
+    The lookup is resolved on *base* at call time, so an attribute swapped
+    on the live PIP (an occupancy overlay) applies to the snapshot too;
+    *materialize* freezes sequence results into tuples.
+    """
+    table: Dict[tuple, object] = {}
+
+    def lookup(*key):
+        try:
+            return table[key]
+        except KeyError:
+            result = getattr(base, attribute)(*key)
+            table[key] = result = tuple(result) if materialize else result
+            return result
+
+    return lookup
 
 
 class DecisionPoint:
@@ -258,19 +223,6 @@ class DecisionPoint:
                 raise EnforcementError(
                     f"{stage!r} is not a decision stage (needs a .name and an evaluate(context) method)"
                 )
-        # The trace-free fast path only applies to the classic pipeline
-        # shape (exact stage types, in order) — anything custom falls back
-        # to the traced evaluator, whose semantics are the definition.
-        self._lean_shape = (
-            len(self._stages) == 4
-            and type(self._stages[0]) is KnownLocationStage
-            and type(self._stages[1]) is CandidateLookupStage
-            and type(self._stages[2]) is EntryWindowStage
-            and type(self._stages[3]) is EntryBudgetStage
-        )
-        self._lean_time_first = bool(
-            self._lean_shape and self._stages[1].time_first  # type: ignore[union-attr]
-        )
 
     @classmethod
     def for_components(
@@ -362,13 +314,8 @@ class DecisionPoint:
         key is answered from the cache — the returned decision is the one
         computed for the equal earlier request, traces and all.
 
-        ``trace=False`` permits (but does not require) a trace-free
-        evaluation: on the classic pipeline shape the stage objects are
-        bypassed entirely and the decision comes back with an empty trace —
-        same grant/deny, same reason, same admitting authorization, same
-        entry counts, none of the per-stage bookkeeping.  Custom pipelines
-        (and cache-priming misses, whose stored entry must keep its trace)
-        still evaluate traced.
+        The decision always carries its per-stage trace (one tuple per stage,
+        detail text rendered only when read); *trace* is an ignored hint.
         """
         cache = self._cache
         token = None
@@ -397,17 +344,8 @@ class DecisionPoint:
             # decision computed from pre-mutation state would be cached
             # after its eviction already ran.
             token = self._generation_token(cache, request)
-            # The primed entry serves later trace=True callers too — a
-            # cache miss always evaluates traced.
-            trace = True
         try:
-            active = info if info is not None else self._info
-            if trace or not self._lean_shape:
-                with _pipeline_span("pipeline.evaluate"):
-                    decision = self._evaluate(request, active)
-            else:
-                with _pipeline_span("pipeline.lean"):
-                    decision = self._evaluate_lean(request, active)
+            decision = self._evaluate(request, info if info is not None else self._info)
             if cache is not None and info is None:
                 self._store_cached(cache, request, decision, token)
         finally:
@@ -430,91 +368,63 @@ class DecisionPoint:
             cache.store(request, decision)
 
     def _evaluate(self, request: AccessRequest, active: PolicyInformationPoint) -> Decision:
+        """One decision, inside a ``pipeline.evaluate`` span when tracing."""
+        tracing = (_active_trace or _bind_telemetry())()
+        if tracing is None:
+            return self._run(request, active, None)
+        with tracing.span("pipeline.evaluate"):
+            return self._run(request, active, tracing)
+
+    def _run(self, request: AccessRequest, active: PolicyInformationPoint, tracing) -> Decision:
+        """The stage loop; *tracing* (the active trace or ``None``) gets one
+        ``pipeline.stage`` event per stage run."""
         context = EvaluationContext(request, active)
-        trace: List[StageResult] = []
+        results: List[StageResult] = []
         for stage in self._stages:
             result = stage.evaluate(context)
-            trace.append(result)
-            _pipeline_event("pipeline.stage", stage=result.stage, outcome=result.outcome.value)
-            if result.outcome is StageOutcome.GRANT:
-                return Decision.granted_by(
-                    request,
-                    result.authorization,
-                    entries_used=result.entries_used,
-                    trace=tuple(trace),
+            results.append(result)
+            outcome = result.outcome
+            if tracing is not None:
+                tracing.event(
+                    "pipeline.stage",
+                    _current_span_id(),
+                    {"stage": result.stage, "outcome": outcome.value},
                 )
-            if result.outcome is StageOutcome.DENY:
-                return Decision.denied_by(
-                    request,
-                    result.reason if result.reason is not None else DenialReason.NO_AUTHORIZATION,
-                    entries_used=result.entries_used,
-                    trace=tuple(trace),
+            if outcome is _GRANT:
+                if result.authorization is None:
+                    raise EnforcementError("a granted decision must carry the matching authorization")
+                return _assemble(
+                    request, True, result.authorization, None, result.entries_used, tuple(results)
                 )
+            if outcome is _DENY:
+                reason = result.reason if result.reason is not None else DenialReason.NO_AUTHORIZATION
+                return _assemble(request, False, None, reason, result.entries_used, tuple(results))
         raise EnforcementError(
             f"decision pipeline fell through without a verdict for {request} — "
             "the final stage must GRANT or DENY every request it sees"
         )
 
-    def _evaluate_lean(
-        self, request: AccessRequest, active: PolicyInformationPoint
-    ) -> Decision:
-        """The classic pipeline without its per-stage bookkeeping.
-
-        Mirrors KnownLocation → CandidateLookup → EntryWindow → EntryBudget
-        exactly (including the time-first lookup's denial-reason-preserving
-        fallback) but builds no :class:`StageResult` objects and no detail
-        strings — the serving fleet's trace-elided hot path.  Parity with
-        the traced evaluator is asserted by the wire test suite.
-        """
-        subject, location, time = request.subject, request.location, request.time
-        if not active.is_primitive(location):
-            return Decision.denied_by(request, DenialReason.UNKNOWN_LOCATION)
-        admissible: Optional[Sequence[LocationTemporalAuthorization]] = None
-        if self._lean_time_first and active.enterable_candidates is not None:
-            admissible = active.enterable_candidates(subject, location, time)
-            if not admissible:
-                if active.candidates_for(subject, location):
-                    return Decision.denied_by(request, DenialReason.OUTSIDE_ENTRY_DURATION)
-                return Decision.denied_by(request, DenialReason.NO_AUTHORIZATION)
-        if admissible is None:
-            candidates = active.candidates_for(subject, location)
-            if not candidates:
-                return Decision.denied_by(request, DenialReason.NO_AUTHORIZATION)
-            admissible = [auth for auth in candidates if auth.permits_entry_at(time)]
-            if not admissible:
-                return Decision.denied_by(request, DenialReason.OUTSIDE_ENTRY_DURATION)
-        entry_count = active.entry_count
-        exhausted_used = 0
-        for authorization in admissible:
-            used = entry_count(subject, location, authorization.entry_duration)
-            remaining = authorization.entries_remaining(used)
-            if remaining is UNLIMITED_ENTRIES or int(remaining) > 0:
-                return Decision.granted_by(request, authorization, entries_used=used)
-            if used > exhausted_used:
-                exhausted_used = used
-        return Decision.denied_by(
-            request, DenialReason.ENTRY_LIMIT_EXHAUSTED, entries_used=exhausted_used
-        )
-
     def decide_many(
         self, requests: Iterable[AccessRequest], *, trace: bool = True
     ) -> List[Decision]:
-        """Evaluate a batch of requests, sharing lookups across the batch.
+        """Evaluate a batch of requests; decisions come back in request order.
 
-        The whole batch is evaluated against one memoizing PIP snapshot, so
-        every candidate lookup and entry-count scan is performed once per
-        distinct key instead of once per request.  Decisions are returned in
-        request order and are identical to what per-request :meth:`decide`
-        calls would produce.  With an attached cache, hits are served first
-        and only the misses run the pipeline (against one shared snapshot).
-        ``trace=False`` enables the trace-free fast path of :meth:`decide`
-        on cache-less evaluation (cache-priming misses stay traced).
+        Decisions are identical to what per-request :meth:`decide` calls
+        would produce (*trace* is the same ignored hint).  The evaluated
+        requests share one memoizing snapshot — each distinct lookup runs
+        once — on SQLite-backed stores or when a tenth of them repeat a
+        ``(subject, location)`` pair; otherwise they read the live PIP.  With
+        an attached cache, hits are served first and only misses evaluated.
         """
         requests = list(requests)
         cache = self._cache
         if cache is None:
-            info = self._info.cached()
-            return [self.decide(request, info=info, trace=trace) for request in requests]
+            info = self._batch_info(requests)
+            if (_active_trace or _bind_telemetry())() is None:
+                run = self._run
+                return [run(request, info, None) for request in requests]
+            evaluate = self._evaluate
+            return [evaluate(request, info) for request in requests]
         decisions: List[Optional[Decision]] = [None] * len(requests)
         misses: List[int] = []
         for index, request in enumerate(requests):
@@ -524,16 +434,33 @@ class DecisionPoint:
             else:
                 misses.append(index)
         if misses:
-            # Tokens for every miss are captured before the memoizing
-            # snapshot is built: the snapshot may read any miss's state at
-            # any point of the loop below.
+            # Tokens for every miss are captured before any is evaluated:
+            # with a snapshot, the batch may read any miss's state at any
+            # point of the loop below.
             tokens = {
                 index: self._generation_token(cache, requests[index]) for index in misses
             }
-            info = self._info.cached()
-            with _pipeline_span("pipeline.evaluate_many", misses=len(misses)):
+            info = self._batch_info([requests[index] for index in misses])
+            tracing = (_active_trace or _bind_telemetry())()
+            with (
+                tracing.span("pipeline.evaluate_many", misses=len(misses))
+                if tracing is not None
+                else nullcontext()
+            ):
                 for index in misses:
-                    decision = self._evaluate(requests[index], info)
+                    decisions[index] = decision = self._run(requests[index], info, tracing)
                     self._store_cached(cache, requests[index], decision, tokens[index])
-                    decisions[index] = decision
         return decisions  # type: ignore[return-value]
+
+    def _batch_info(self, requests: List[AccessRequest]) -> PolicyInformationPoint:
+        # In memory the memo's key build, probe and copy cost more than the
+        # lookups they save until pairs repeat: on the embedded perfbench
+        # engine it read ~5% slower per request with every pair distinct
+        # and ~4% faster with a fifth repeated.
+        info = self._info
+        if info.snapshot_pays or (
+            len({(request.subject, request.location) for request in requests})
+            <= 0.9 * len(requests)
+        ):
+            return info.cached()
+        return info

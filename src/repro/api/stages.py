@@ -54,6 +54,13 @@ __all__ = [
 ]
 
 
+# Details are ``str.format`` templates plus arguments, rendered (equal to the
+# matching f-string) only when a trace is explained or encoded.
+_result = StageResult.deferred
+_GRANT, _DENY = StageOutcome.GRANT, StageOutcome.DENY
+_CONTINUE, _SKIP = StageOutcome.CONTINUE, StageOutcome.SKIP
+
+
 class EvaluationContext:
     """Mutable scratchpad threaded through the pipeline for one request.
 
@@ -103,15 +110,14 @@ class KnownLocationStage:
     def evaluate(self, context: EvaluationContext) -> StageResult:
         location = context.request.location
         if not context.info.is_primitive(location):
-            return StageResult(
+            return _result(
                 self.name,
-                StageOutcome.DENY,
-                detail=f"{location!r} is not a primitive location of the protected hierarchy",
-                reason=DenialReason.UNKNOWN_LOCATION,
+                _DENY,
+                "{!r} is not a primitive location of the protected hierarchy",
+                (location,),
+                DenialReason.UNKNOWN_LOCATION,
             )
-        return StageResult(
-            self.name, StageOutcome.CONTINUE, detail=f"{location!r} is a protected primitive location"
-        )
+        return _result(self.name, _CONTINUE, "{!r} is a protected primitive location", (location,))
 
 
 class CandidateLookupStage:
@@ -141,11 +147,6 @@ class CandidateLookupStage:
     def __init__(self, *, time_first: bool = False) -> None:
         self._time_first = time_first
 
-    @property
-    def time_first(self) -> bool:
-        """Whether this stage stabs the entry-interval index first."""
-        return self._time_first
-
     def evaluate(self, context: EvaluationContext) -> StageResult:
         request = context.request
         if self._time_first:
@@ -154,13 +155,11 @@ class CandidateLookupStage:
                 live = list(enterable(request.subject, request.location, request.time))
                 if live:
                     context.candidates = live
-                    return StageResult(
+                    return _result(
                         self.name,
-                        StageOutcome.CONTINUE,
-                        detail=(
-                            f"{len(live)} candidate(s) enterable at t={request.time}"
-                            " (time-first interval lookup)"
-                        ),
+                        _CONTINUE,
+                        "{} candidate(s) enterable at t={} (time-first interval lookup)",
+                        (len(live), request.time),
                     )
                 # Nothing live: fall through to the full fetch, which tells
                 # "no authorization" apart from "all outside their windows".
@@ -168,31 +167,26 @@ class CandidateLookupStage:
                     context.info.candidates_for(request.subject, request.location)
                 )
                 if context.candidates:
-                    return StageResult(
+                    return _result(
                         self.name,
-                        StageOutcome.DENY,
-                        detail=(
-                            f"none of {len(context.candidates)} candidate(s) permits entry"
-                            f" at t={request.time} (time-first interval lookup)"
-                        ),
-                        reason=DenialReason.OUTSIDE_ENTRY_DURATION,
+                        _DENY,
+                        "none of {} candidate(s) permits entry at t={} (time-first interval lookup)",
+                        (len(context.candidates), request.time),
+                        DenialReason.OUTSIDE_ENTRY_DURATION,
                     )
                 return self._deny_no_authorization(request)
-        context.candidates = list(context.info.candidates_for(request.subject, request.location))
-        if not context.candidates:
+        context.candidates = candidates = list(context.info.candidates_for(request.subject, request.location))
+        if not candidates:
             return self._deny_no_authorization(request)
-        return StageResult(
-            self.name,
-            StageOutcome.CONTINUE,
-            detail=f"{len(context.candidates)} candidate authorization(s)",
-        )
+        return _result(self.name, _CONTINUE, "{} candidate authorization(s)", (len(candidates),))
 
     def _deny_no_authorization(self, request) -> StageResult:
-        return StageResult(
+        return _result(
             self.name,
-            StageOutcome.DENY,
-            detail=f"no authorization stored for ({request.subject}, {request.location})",
-            reason=DenialReason.NO_AUTHORIZATION,
+            _DENY,
+            "no authorization stored for ({}, {})",
+            (request.subject, request.location),
+            DenialReason.NO_AUTHORIZATION,
         )
 
 
@@ -221,26 +215,20 @@ class ConflictResolutionStage:
         pool_name = "admissible" if context.admissible else "candidates"
         pool = getattr(context, pool_name)
         if len(pool) < 2:
-            return StageResult(self.name, StageOutcome.SKIP, detail="fewer than two candidates")
+            return StageResult(self.name, _SKIP, "fewer than two candidates")
         resolved, conflicts = resolve_conflicts(
             pool,
             strategy=self._strategy,
             include_adjacent=self._include_adjacent,
         )
         if not conflicts:
-            return StageResult(
-                self.name,
-                StageOutcome.CONTINUE,
-                detail=f"no conflicts among {len(pool)} candidate(s)",
-            )
+            return _result(self.name, _CONTINUE, "no conflicts among {} candidate(s)", (len(pool),))
         setattr(context, pool_name, list(resolved))
-        return StageResult(
+        return _result(
             self.name,
-            StageOutcome.CONTINUE,
-            detail=(
-                f"resolved {len(conflicts)} conflict(s) via {self._strategy.value}; "
-                f"{len(resolved)} candidate(s) remain"
-            ),
+            _CONTINUE,
+            "resolved {} conflict(s) via {}; {} candidate(s) remain",
+            (len(conflicts), self._strategy.value, len(resolved)),
         )
 
 
@@ -251,19 +239,17 @@ class EntryWindowStage:
 
     def evaluate(self, context: EvaluationContext) -> StageResult:
         time = context.request.time
-        context.admissible = [auth for auth in context.candidates if auth.permits_entry_at(time)]
-        if not context.admissible:
-            return StageResult(
+        candidates = context.candidates
+        context.admissible = admissible = [auth for auth in candidates if auth.permits_entry_at(time)]
+        if not admissible:
+            return _result(
                 self.name,
-                StageOutcome.DENY,
-                detail=f"none of {len(context.candidates)} candidate(s) permits entry at t={time}",
-                reason=DenialReason.OUTSIDE_ENTRY_DURATION,
+                _DENY,
+                "none of {} candidate(s) permits entry at t={}",
+                (len(candidates), time),
+                DenialReason.OUTSIDE_ENTRY_DURATION,
             )
-        return StageResult(
-            self.name,
-            StageOutcome.CONTINUE,
-            detail=f"{len(context.admissible)} candidate(s) enterable at t={time}",
-        )
+        return _result(self.name, _CONTINUE, "{} candidate(s) enterable at t={}", (len(admissible), time))
 
 
 class CapacityStage:
@@ -280,20 +266,17 @@ class CapacityStage:
         location = context.request.location
         limit = context.info.capacity_of(location)
         if limit is None:
-            return StageResult(
-                self.name, StageOutcome.SKIP, detail=f"no capacity limit configured for {location!r}"
-            )
+            return _result(self.name, _SKIP, "no capacity limit configured for {!r}", (location,))
         occupants = context.info.occupancy_of(location)
         if occupants >= limit:
-            return StageResult(
+            return _result(
                 self.name,
-                StageOutcome.DENY,
-                detail=f"{occupants} occupant(s) already inside; limit is {limit}",
-                reason=DenialReason.OVER_CAPACITY,
+                _DENY,
+                "{} occupant(s) already inside; limit is {}",
+                (occupants, limit),
+                DenialReason.OVER_CAPACITY,
             )
-        return StageResult(
-            self.name, StageOutcome.CONTINUE, detail=f"occupancy {occupants}/{limit}"
-        )
+        return _result(self.name, _CONTINUE, "occupancy {}/{}", (occupants, limit))
 
 
 class EntryBudgetStage:
@@ -311,29 +294,37 @@ class EntryBudgetStage:
 
     def evaluate(self, context: EvaluationContext) -> StageResult:
         request = context.request
+        subject, location = request.subject, request.location
+        entry_count = context.info.entry_count
         pool = context.admissible if context.admissible else context.candidates
         exhausted_used = 0
         for authorization in pool:
-            used = context.info.entry_count(
-                request.subject, request.location, authorization.entry_duration
-            )
+            used = entry_count(subject, location, authorization.entry_duration)
             remaining = authorization.entries_remaining(used)
             if remaining is UNLIMITED_ENTRIES or int(remaining) > 0:
-                left = "unlimited" if remaining is UNLIMITED_ENTRIES else str(int(remaining))
-                return StageResult(
+                return _result(
                     self.name,
-                    StageOutcome.GRANT,
-                    detail=f"granted via {authorization.auth_id}; {used} entr(y/ies) used, {left} remaining",
-                    authorization=authorization,
-                    entries_used=used,
+                    _GRANT,
+                    "granted via {}; {} entr(y/ies) used, {} remaining",
+                    (
+                        authorization.auth_id,
+                        used,
+                        "unlimited" if remaining is UNLIMITED_ENTRIES else int(remaining),
+                    ),
+                    None,
+                    authorization,
+                    used,
                 )
-            exhausted_used = max(exhausted_used, used)
-        return StageResult(
+            if used > exhausted_used:
+                exhausted_used = used
+        return _result(
             self.name,
-            StageOutcome.DENY,
-            detail=f"entry budget exhausted on all {len(pool)} admissible candidate(s)",
-            reason=DenialReason.ENTRY_LIMIT_EXHAUSTED,
-            entries_used=exhausted_used,
+            _DENY,
+            "entry budget exhausted on all {} admissible candidate(s)",
+            (len(pool),),
+            DenialReason.ENTRY_LIMIT_EXHAUSTED,
+            None,
+            exhausted_used,
         )
 
 

@@ -186,7 +186,7 @@ Observability (telemetry)
 :mod:`repro.service.telemetry` is the stdlib-only observability fabric the
 whole package shares — a metrics registry plus a span model:
 
-* **Metrics** are always on and cheap enough for the lean decide path:
+* **Metrics** are always on and cheap enough for an uncached decide:
   every server and router owns a :class:`~repro.service.telemetry.
   MetricsRegistry` whose hot-path objects (per-op latency
   :class:`~repro.service.telemetry.Histogram`\\ s, the decide/cache

@@ -1077,7 +1077,7 @@ class LtamServer(AsyncServiceHost):
             decision = self._engine.pdp.decide(request)
             fragment = self._prime_cache(request, decision, include_trace, binary, token)
             return _RawBinary(fragment) if binary else _RawResult(fragment)
-        decision = self._engine.pdp.decide(request, trace=include_trace)
+        decision = self._engine.pdp.decide(request)
         if binary:
             return _RawBinary(_binary_decision(decision, include_trace))
         return _RawResult(_json_decision(decision, include_trace))
@@ -1089,7 +1089,7 @@ class LtamServer(AsyncServiceHost):
         self._bump("decisions", len(raw_requests))
         if self._cache is None:
             requests = [request_from_dict(item) for item in raw_requests]
-            decisions = self._engine.pdp.decide_many(requests, trace=include_trace)
+            decisions = self._engine.pdp.decide_many(requests)
             if binary:
                 return _RawBinary(
                     wire.encode_value(
@@ -1120,8 +1120,8 @@ class LtamServer(AsyncServiceHost):
         )
         if misses:
             requests = [request_from_dict(raw) for _, raw in misses]
-            # Tokens before the batch evaluation: its memoizing snapshot may
-            # read any miss's state at any point of the batch.
+            # Tokens before the batch evaluation, which may read any miss's
+            # state at any point of the batch.
             tokens = [self._cache.generation(request.location) for request in requests]
             decisions = self._engine.pdp.decide_many(requests)
             for (position, _), request, decision, token in zip(

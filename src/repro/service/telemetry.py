@@ -521,6 +521,10 @@ class Trace:
         """An instantaneous span (cache outcome, bus apply, ...)."""
         self.record(Span(name, _new_id(4), parent_id, meta))
 
+    def span(self, name: str, **meta: Any) -> "_OpenSpan":
+        """:func:`trace_span` for a caller that already holds the active trace."""
+        return _OpenSpan(self, name, meta or None)
+
     def graft(self, wire_spans: Any) -> None:
         """Adopt spans a downstream server returned in its response envelope."""
         if not isinstance(wire_spans, (list, tuple)):
@@ -554,7 +558,15 @@ class Trace:
 # ``run_in_executor`` does not propagate contextvars, and the fan-out
 # threads re-activate explicitly — so a plain ``threading.local`` is both
 # simpler and faster than contextvars here.
-_tls = threading.local()
+class _TraceLocal(threading.local):
+    # Class-level defaults: a thread that never activated a trace reads
+    # None here instead of raising (and catching) an AttributeError on
+    # every check, which costs more than the read itself.
+    trace: Optional[Trace] = None
+    stack: Optional[List[Optional[str]]] = None
+
+
+_tls = _TraceLocal()
 
 
 def active_trace() -> Optional[Trace]:
@@ -562,7 +574,7 @@ def active_trace() -> Optional[Trace]:
 
     This is the whole disabled-path cost: one thread-local attribute read.
     """
-    return getattr(_tls, "trace", None)
+    return _tls.trace
 
 
 def activate(trace: Optional[Trace], parent_id: Optional[str] = None) -> None:
@@ -585,8 +597,8 @@ def deactivate() -> None:
 @contextmanager
 def activated(trace: Optional[Trace], parent_id: Optional[str] = None):
     """Activate *trace* for the duration of the block (save/restore nesting)."""
-    previous_trace = getattr(_tls, "trace", None)
-    previous_stack = getattr(_tls, "stack", None)
+    previous_trace = _tls.trace
+    previous_stack = _tls.stack
     activate(trace, parent_id)
     try:
         yield trace
@@ -597,7 +609,7 @@ def activated(trace: Optional[Trace], parent_id: Optional[str] = None):
 
 def current_span_id() -> Optional[str]:
     """The innermost open span on this thread (parent for forwarded calls)."""
-    stack = getattr(_tls, "stack", None)
+    stack = _tls.stack
     return stack[-1] if stack else None
 
 
@@ -630,14 +642,14 @@ class _OpenSpan:
         self._span = trace.begin(name, current_span_id(), meta)
 
     def __enter__(self) -> Span:
-        stack = getattr(_tls, "stack", None)
+        stack = _tls.stack
         if stack is None:
             stack = _tls.stack = [None]
         stack.append(self._span.span_id)
         return self._span
 
     def __exit__(self, *exc: Any) -> None:
-        stack = getattr(_tls, "stack", None)
+        stack = _tls.stack
         if stack and stack[-1] == self._span.span_id:
             stack.pop()
         self._span.close()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Ltam
+from repro.api import Ltam, grant
 from repro.core.requests import AccessRequest
 from repro.locations.multilevel import LocationHierarchy
 from repro.simulation.buildings import grid_building
@@ -72,3 +72,55 @@ class TestDecideMany:
         engine = Ltam.builder().hierarchy(hierarchy).build()
         decisions = engine.decide_many([(5, "alice", "B.R0C0"), (6, "alice", "B.R0C1")])
         assert all(isinstance(d.request, AccessRequest) for d in decisions)
+
+
+class TestBatchSnapshot:
+    """decide_many memoizes PIP reads only where that pays: always on
+    SQLite-backed stores, and in memory when the batch repeats pairs."""
+
+    @staticmethod
+    def _count_candidate_reads(engine):
+        info = engine.pdp.info
+        reads = []
+        live = info.candidates_for
+
+        def counted(subject, location):
+            reads.append((subject, location))
+            return live(subject, location)
+
+        info.candidates_for = counted
+        return reads
+
+    @staticmethod
+    def _engine(backend=None):
+        builder = Ltam.builder().hierarchy(LocationHierarchy(grid_building("B", 3, 3)))
+        if backend is not None:
+            builder = builder.backend(backend)
+        engine = builder.build()
+        for row in range(3):
+            engine.grant(grant("alice").at(f"B.R{row}C0").during(0, 100))
+        return engine
+
+    def test_memory_backend_reads_distinct_pairs_live(self):
+        engine = self._engine()
+        assert not engine.pdp.info.snapshot_pays
+        reads = self._count_candidate_reads(engine)
+        requests = [AccessRequest(10, "alice", f"B.R{row}C0") for row in range(3)]
+        assert all(decision.granted for decision in engine.decide_many(requests))
+        assert len(reads) == 3
+
+    def test_memory_backend_memoizes_a_batch_of_repeated_pairs(self):
+        engine = self._engine()
+        reads = self._count_candidate_reads(engine)
+        requests = [AccessRequest(time, "alice", "B.R0C0") for time in range(10, 30)]
+        decisions = engine.decide_many(requests)
+        assert [d.granted for d in decisions] == [engine.decide(r).granted for r in requests]
+        assert reads.count(("alice", "B.R0C0")) == 1 + len(requests)  # batch once, loop 20x
+
+    def test_sqlite_backend_always_memoizes(self):
+        engine = self._engine("sqlite")
+        assert engine.pdp.info.snapshot_pays
+        reads = self._count_candidate_reads(engine)
+        requests = [AccessRequest(10, "alice", f"B.R{row}C0") for row in range(3)] * 2
+        assert all(decision.granted for decision in engine.decide_many(requests))
+        assert len(reads) == 3

@@ -171,17 +171,37 @@ class TestReconnect:
         first.start()
         host, port = first.address
         a_rec, b_rec = Recorder(), Recorder()
-        link_a = make_link(first, "a", a_rec)
+        # A hub replays nothing to a fresh hello, so b only sees a's
+        # re-published event live: a must not reconnect before b has.
+        a_may_connect = threading.Event()
+        a_may_connect.set()
+
+        class GatedLink(BusLink):
+            def _connect_and_read(self):
+                if not a_may_connect.wait(timeout=10):
+                    raise OSError("gate never opened")
+                return super()._connect_and_read()
+
+        link_a = GatedLink(
+            first.address,
+            replica_id="a",
+            on_events=a_rec.on_events,
+            on_resync=a_rec.on_resync,
+            reconnect_delay=0.05,
+        )
         link_b = make_link(first, "b", b_rec)
         try:
             assert wait_until(lambda: link_a.connected and link_b.connected)
+            a_may_connect.clear()
             first.stop()
-            assert wait_until(lambda: not link_a.connected)
+            assert wait_until(lambda: not link_a.connected and not link_b.connected)
             # Published into the void: buffered client-side as unsent.
             link_a.publish([{"kind": "admin", "location": "LOST", "subject": None}])
             second = InvalidationBus(host=host, port=port)
             second.start()
             try:
+                assert wait_until(lambda: link_b.connected, timeout=10)
+                a_may_connect.set()
                 assert wait_until(
                     lambda: any(e.get("location") == "LOST" for e in b_rec.payloads),
                     timeout=10,
@@ -189,6 +209,7 @@ class TestReconnect:
             finally:
                 second.stop()
         finally:
+            a_may_connect.set()
             link_a.close()
             link_b.close()
 

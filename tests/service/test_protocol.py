@@ -195,6 +195,33 @@ def test_decision_without_trace():
     assert back.trace == () and back.reason is DenialReason.NO_AUTHORIZATION
 
 
+def test_pipeline_trace_round_trips_through_a_frame():
+    """Traces from the evaluator carry deferred detail text; the wire form
+    renders it, and the rebuilt (eager) trace equals the original."""
+    from repro.api import CapacityStage, Ltam, grant
+    from repro.locations.layouts import ntu_campus_hierarchy
+
+    engine = (
+        Ltam.builder()
+        .hierarchy(ntu_campus_hierarchy())
+        .stage(CapacityStage())
+        .capacity("CAIS", 3)
+        .grant(grant("Alice").at("CAIS").during(10, 20).entries(2).with_id("A1"))
+        .build()
+    )
+    for triple in ((15, "Alice", "CAIS"), (25, "Alice", "CAIS"), (15, "Bob", "CAIS")):
+        decision = engine.decide(triple)
+        frame = protocol.encode_frame({"result": protocol.decision_to_dict(decision)})
+        payload = protocol.decode_frame(frame)["result"]
+        assert [entry["detail"] for entry in payload["trace"]] == [
+            result.detail for result in decision.trace
+        ]
+        back = protocol.decision_from_dict(payload)
+        assert back.trace == decision.trace
+        assert back == decision
+        assert back.explain() == decision.explain()
+
+
 def test_strip_trace_copies():
     request = AccessRequest(15, "Alice", "CAIS")
     decision = Decision.denied_by(

@@ -205,6 +205,67 @@ class TestTrace:
         telemetry.trace_event("nothing-either")  # must not raise
 
 
+class TestPipelineTracing:
+    """The PDP checks for an active trace once per decision and records
+    pipeline spans only while one is active."""
+
+    def test_traced_decide_records_evaluate_and_one_event_per_stage(self):
+        engine = _seeded_engine()
+        request = _requests(engine.hierarchy, count=1)[0]
+        trace = Trace()
+        with telemetry.activated(trace):
+            decision = engine.decide(request)
+        spans = trace.spans_to_wire()
+        evaluate = [span for span in spans if span[2] == "pipeline.evaluate"]
+        stages = [span for span in spans if span[2] == "pipeline.stage"]
+        assert len(evaluate) == 1 and len(spans) == 1 + len(stages)
+        assert [span[5] for span in stages] == [
+            {"stage": result.stage, "outcome": result.outcome.value}
+            for result in decision.trace
+        ]
+        assert all(span[1] == evaluate[0][0] for span in stages)
+
+    def test_traced_decide_many_records_one_evaluate_per_request(self):
+        engine = _seeded_engine()
+        requests = _requests(engine.hierarchy, count=5)
+        trace = Trace()
+        with telemetry.activated(trace):
+            decisions = engine.decide_many(requests)
+        names = [span[2] for span in trace.spans_to_wire()]
+        assert names.count("pipeline.evaluate") == len(requests)
+        assert names.count("pipeline.stage") == sum(len(d.trace) for d in decisions)
+
+    def test_untraced_decide_touches_no_trace_state(self, monkeypatch):
+        import threading
+
+        from repro.api import pdp
+
+        engine = _seeded_engine()
+        requests = _requests(engine.hierarchy, count=20)
+        engine.decide(requests[0])  # bind the telemetry hooks
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("trace state touched without an active trace")
+
+        monkeypatch.setattr(pdp, "_current_span_id", forbidden)
+        monkeypatch.setattr(Trace, "span", forbidden)
+        monkeypatch.setattr(Trace, "event", forbidden)
+        outcome = {}
+
+        def run():
+            # A fresh thread starts with no trace and no span stack.
+            for request in requests:
+                engine.decide(request)
+            engine.decide_many(requests)
+            outcome["touched"] = sorted(vars(telemetry._tls))
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert outcome == {"touched": []}
+
+
 # --------------------------------------------------------------------- #
 # Over the wire: metrics op, span echo, slow sampling
 # --------------------------------------------------------------------- #
