@@ -894,10 +894,17 @@ class ShardedInMemoryMovementDatabase(MovementDatabase):
     into ``shards`` shard-local slices keyed by a consistent hash on the
     subject (``"auto"`` = one shard per CPU core).  A ``record_many`` batch
     is partitioned once, then each partition's log append **and** projection
-    fold happen as one atomic unit under that shard's lock — so writer
-    threads (one per tracker feed) only contend when their batches collide
-    on a shard, and a checkpoint walking the shards always sees a log that
-    matches its projection.
+    fold happen as one atomic unit under that shard's lock — so a checkpoint
+    walking the shards always sees a log that matches its projection.
+
+    Writer threads (one per tracker feed) take turns: each ``record_many``
+    validates, traces notices and lands its batch under one writer lock.
+    Under CPython's GIL two writers never fold at the same time anyway; the
+    lock only changes *how* they alternate.  Without it, every runnable
+    writer competes for the interpreter lock and forces a thread switch
+    every few milliseconds, and on a busy host each switch waits for the OS
+    to schedule the next thread — four writers then ingested at half the
+    speed of one.  A writer blocked on the lock asks for nothing.
 
     Log order: each batch atomically reserves a position in the global
     sequence, which linearizes concurrent batches; within a batch, each
@@ -910,9 +917,9 @@ class ShardedInMemoryMovementDatabase(MovementDatabase):
     interleaving.  Occupancy semantics only depend on per-subject order, so
     every projection read is identical to the unsharded store's.
 
-    ``strict=True`` serializes ingest on a validation lock (the batch
-    pre-check must observe a frozen occupancy map to reject inconsistent
-    exits all-or-nothing); parallel throughput is a non-strict feature.
+    ``strict=True`` relies on the same lock: the batch pre-check must
+    observe a frozen occupancy map to reject inconsistent exits
+    all-or-nothing.
     """
 
     def __init__(
@@ -932,7 +939,7 @@ class ShardedInMemoryMovementDatabase(MovementDatabase):
         self._seq_lock = threading.Lock()
         self._next_seq = 1
         self._recorded_total = 0
-        self._strict_lock = threading.Lock()
+        self._writer_lock = threading.Lock()
         #: archived segments as (batch_seq, shard_index, records); guarded by
         #: _archive_lock — a scheduled checkpoint on the ingest writer thread
         #: and a foreground/remote prune or history() may touch it together.
@@ -960,18 +967,11 @@ class ShardedInMemoryMovementDatabase(MovementDatabase):
         # never the caller's list, and a 100k-record copy would only give
         # the garbage collector another young container to traverse.
         batch = records if type(records) is list else list(records)
-        if self._strict:
-            # Strict validation replays the batch against the *current*
-            # occupancy, which must not move until the batch lands.
-            with self._strict_lock:
-                self._validate_batch(batch)
-                notices = self._notices_for(batch)
-                self._ingest(batch)
-        else:
+        # Strict validation replays the batch against the *current*
+        # occupancy, which must not move until the batch lands; the
+        # previous-location reads behind the notices need the same.
+        with self._writer_lock:
             self._validate_batch(batch)
-            # Under concurrent writers the previous-location reads race other
-            # shards' batches, but subjects are writer-disjoint per the
-            # tracker-stream contract, so each subject's chain is exact.
             notices = self._notices_for(batch)
             self._ingest(batch)
         self._notify(notices)
@@ -987,11 +987,8 @@ class ShardedInMemoryMovementDatabase(MovementDatabase):
         # Partition once (memoized shard lookup), then land each partition
         # as one log segment + one projection fold — this plus apply_many is
         # the ingest hot path.  The batch holds every shard it touches for
-        # the whole landing: a writer whose batch overlaps waits on a shard
-        # lock instead of competing for the interpreter lock, which under
-        # CPython's GIL would only switch threads every few milliseconds
-        # without adding any parallelism.  Batches on disjoint shards still
-        # land concurrently.
+        # the whole landing, so a checkpoint walking the shards never sees a
+        # segment without its fold.
         partitions = self._occupancy.partition(batch)
         with self._occupancy.locked_shards(partitions) as projections:
             for index, projection in projections.items():
