@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.reports import detection_stats
 from repro.baselines.card_reader import CardReaderSystem
 from repro.baselines.tam import TemporalOnlySystem
-from repro.engine.access_control import AccessControlEngine
+from repro.api import Ltam
 from repro.simulation.buildings import campus_hierarchy
 from repro.simulation.movement import MovementSimulator
 from repro.simulation.workload import AuthorizationWorkloadGenerator, WorkloadConfig, generate_subjects
@@ -54,7 +54,7 @@ def drive(system_factory, hierarchy, authorizations, trace):
 
 
 def make_ltam(hierarchy, authorizations):
-    engine = AccessControlEngine(hierarchy)
+    engine = Ltam(hierarchy)
     engine.grant_all(authorizations)
     # expose the monitor interface used by `drive`
     engine.check_overstays = engine.monitor.check_overstays  # type: ignore[attr-defined]
@@ -112,7 +112,7 @@ def test_tam_baseline_over_grants(benchmark, scenario, table_printer):
     def evaluate():
         ltam_grants = tam_grants = over_grants = 0
         for request in requests:
-            ltam_decision = ltam.check_request(request)
+            ltam_decision = ltam.decide(request)
             tam_decision = tam.check(request.time, request.subject, request.location)
             ltam_grants += ltam_decision.granted
             tam_grants += tam_decision.granted

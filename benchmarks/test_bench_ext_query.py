@@ -9,7 +9,7 @@ in DESIGN.md.
 
 import pytest
 
-from repro.engine.access_control import AccessControlEngine
+from repro.api import Ltam
 from repro.engine.query.evaluator import QueryEngine
 from repro.simulation.buildings import campus_hierarchy
 from repro.simulation.movement import MovementSimulator
@@ -27,7 +27,7 @@ def deployment():
         hierarchy, config=WorkloadConfig(horizon=1_000, coverage=0.8), seed=SEED
     )
     authorizations = generator.authorizations(subjects)
-    engine = AccessControlEngine(hierarchy)
+    engine = Ltam(hierarchy)
     engine.grant_all(authorizations)
     trace = MovementSimulator(hierarchy, authorizations, seed=SEED).population_trace(
         subjects, steps=5, p_tailgate=0.1

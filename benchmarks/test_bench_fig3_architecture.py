@@ -9,7 +9,7 @@ synthetic campus, once with the in-memory backends and once with SQLite.
 
 import pytest
 
-from repro.engine.access_control import AccessControlEngine
+from repro.api import Ltam
 from repro.engine.query.evaluator import QueryEngine
 from repro.simulation.buildings import campus_hierarchy
 from repro.simulation.movement import MovementSimulator
@@ -40,14 +40,14 @@ def scenario():
 
 def run_pipeline(hierarchy, subjects, authorizations, trace, *, sqlite=False):
     if sqlite:
-        engine = AccessControlEngine(
+        engine = Ltam(
             hierarchy,
             authorization_db=SqliteAuthorizationDatabase(),
             movement_db=SqliteMovementDatabase(":memory:", hierarchy),
             profile_db=SqliteUserProfileDatabase(),
         )
     else:
-        engine = AccessControlEngine(hierarchy)
+        engine = Ltam(hierarchy)
     engine.grant_all(authorizations)
     last_time = 0
     for record in trace:

@@ -9,7 +9,7 @@ larger synthetic request stream.
 
 import pytest
 
-from repro.engine.access_control import AccessControlEngine
+from repro.api import Ltam
 from repro.locations.layouts import ntu_campus_hierarchy
 from repro.paper import fixtures as paper
 from repro.simulation.workload import AuthorizationWorkloadGenerator, WorkloadConfig, generate_subjects
@@ -21,12 +21,12 @@ def campus():
 
 
 def replay_timeline(campus):
-    engine = AccessControlEngine(campus)
+    engine = Ltam(campus)
     engine.grant_all(paper.section5_authorizations())
     outcomes = []
     for step in paper.section5_timeline():
         if step.action == "request":
-            decision = engine.request_access(step.time, step.subject, step.location)
+            decision = engine.enforce((step.time, step.subject, step.location))
             outcomes.append(decision.granted)
             if decision.granted:
                 engine.observe_entry(step.time, step.subject, step.location)
@@ -59,14 +59,14 @@ def test_request_throughput_on_synthetic_workload(benchmark, campus):
     generator = AuthorizationWorkloadGenerator(
         campus, config=WorkloadConfig(horizon=1_000, coverage=0.8), seed=17
     )
-    engine = AccessControlEngine(campus)
+    engine = Ltam(campus)
     engine.grant_all(generator.authorizations(subjects))
     requests = generator.requests(subjects, 500)
 
     def evaluate_all():
         granted = 0
         for request in requests:
-            if engine.check_request(request).granted:
+            if engine.decide(request).granted:
                 granted += 1
         return granted
 

@@ -14,7 +14,7 @@ Run with::
 
 from repro.analysis.reports import build_violation_report, busiest_locations, detection_stats
 from repro.baselines.card_reader import CardReaderSystem
-from repro.engine.access_control import AccessControlEngine
+from repro.api import Ltam
 from repro.simulation.buildings import campus_hierarchy
 from repro.simulation.movement import MovementSimulator
 from repro.simulation.workload import AuthorizationWorkloadGenerator, WorkloadConfig, generate_subjects
@@ -44,7 +44,7 @@ def main() -> None:
           f"{len(trace.truth.unauthorized_entries)} unauthorized entries and "
           f"{len(trace.truth.overstays)} overstays")
 
-    ltam = AccessControlEngine(hierarchy)
+    ltam = Ltam(hierarchy)
     ltam.grant_all(authorizations)
     card_reader = CardReaderSystem(hierarchy, authorization_db=ltam.authorization_db)
 

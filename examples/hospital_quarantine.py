@@ -21,7 +21,7 @@ Run with::
     python examples/hospital_quarantine.py
 """
 
-from repro import AccessControlEngine, LocationTemporalAuthorization
+from repro import Ltam, LocationTemporalAuthorization
 from repro.engine import QueryEngine
 from repro.locations import LocationGraphBuilder, LocationHierarchy
 from repro.privacy.anonymizer import TraceAnonymizer
@@ -50,13 +50,13 @@ PATIENT = "patient-zero"
 DAY_END = 480  # one shift in minutes
 
 
-def grant_staff_access(engine: AccessControlEngine) -> None:
+def grant_staff_access(engine: Ltam) -> None:
     for person in STAFF + [PATIENT]:
         for ward in ("Lobby", "WardA", "WardB", "ICU", "Cafeteria"):
             engine.grant(LocationTemporalAuthorization((person, ward), (0, DAY_END), (0, DAY_END + 60)))
 
 
-def simulate_shift(engine: AccessControlEngine) -> None:
+def simulate_shift(engine: Ltam) -> None:
     """A deterministic morning of movements (times in minutes)."""
     movements = [
         (5, PATIENT, "Lobby"), (20, PATIENT, "WardA"),
@@ -73,7 +73,7 @@ def simulate_shift(engine: AccessControlEngine) -> None:
         previous[person] = location
 
 
-def find_contacts(engine: AccessControlEngine, patient: str) -> set:
+def find_contacts(engine: Ltam, patient: str) -> set:
     """Everyone who was inside the same location as the patient at the same time."""
     history = engine.movement_db.history()
     intervals = {}  # (subject, location) -> [enter, exit]
@@ -99,7 +99,7 @@ def find_contacts(engine: AccessControlEngine, patient: str) -> set:
     return contacts
 
 
-def quarantine(engine: AccessControlEngine, contacts: set) -> None:
+def quarantine(engine: Ltam, contacts: set) -> None:
     now = engine.clock.now
     for person in sorted(contacts):
         for auth in engine.authorization_db.for_subject(person):
@@ -112,7 +112,7 @@ def quarantine(engine: AccessControlEngine, contacts: set) -> None:
 
 def main() -> None:
     hierarchy = build_hospital()
-    engine = AccessControlEngine(hierarchy)
+    engine = Ltam(hierarchy)
     grant_staff_access(engine)
     simulate_shift(engine)
 

@@ -11,7 +11,7 @@ Run with::
     python examples/ntu_campus.py
 """
 
-from repro import AccessControlEngine, find_inaccessible
+from repro import Ltam, find_inaccessible
 from repro.core.derivation import DerivationEngine
 from repro.engine import QueryEngine
 from repro.locations import classify_route, find_route, figure4_hierarchy, ntu_campus_hierarchy
@@ -42,11 +42,11 @@ def show_rule_examples(hierarchy) -> None:
 
 def replay_section5(hierarchy) -> None:
     print("\n== Section 5: enforcement timeline ==")
-    engine = AccessControlEngine(hierarchy)
+    engine = Ltam(hierarchy)
     engine.grant_all(paper.section5_authorizations())
     for step in paper.section5_timeline():
         if step.action == "request":
-            decision = engine.request_access(step.time, step.subject, step.location)
+            decision = engine.enforce((step.time, step.subject, step.location))
             outcome = "granted" if decision.granted else f"denied ({decision.reason})"
             print(f"t={step.time:<3} request ({step.subject}, {step.location}): {outcome}   [{step.note}]")
             if decision.granted:

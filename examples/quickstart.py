@@ -7,12 +7,6 @@ builder, evaluates access requests (printing each decision's per-stage
 trace), feeds movement observations to the continuous monitor, and asks the
 query engine a few questions.
 
-Migration note: this example previously drove ``AccessControlEngine``
-directly — ``check_request`` is now ``decide``, ``request_access`` is
-``enforce``, ``request_and_enter`` is ``enforce_and_enter``.  The old class
-still works (it is a thin shim over :class:`repro.api.Ltam`), but new code
-should start from :mod:`repro.api`.
-
 Run with::
 
     python examples/quickstart.py

@@ -24,11 +24,6 @@ control engine XACML-style:
       decision = engine.decide((10, "alice", "meeting-room"))
       decisions = engine.decide_many(requests)   # batched, shared lookups
 
-The seed's :class:`~repro.engine.access_control.AccessControlEngine` remains
-as a thin shim over :class:`~repro.api.builder.Ltam` — ``check_request`` is
-now ``decide``, ``request_access`` is ``enforce``, ``request_and_enter`` is
-``enforce_and_enter`` (see its module docstring for the migration table).
-
 Supporting packages, as described in DESIGN.md:
 
 * :mod:`repro.temporal` — chronons, time intervals, interval sets, calendars;
@@ -41,8 +36,7 @@ Supporting packages, as described in DESIGN.md:
 * :mod:`repro.service` — the network boundary: an asyncio authorization
   server with a decision cache, remote PDP/PEP clients, and the NDJSON
   wire codec (``repro serve`` on the CLI);
-* :mod:`repro.engine` — monitor, alerts, audit log, query engine, and the
-  backwards-compatible access-control engine;
+* :mod:`repro.engine` — monitor, alerts, audit log and query engine;
 * :mod:`repro.privacy` — location-privacy policies and anonymization;
 * :mod:`repro.simulation` — synthetic buildings, workloads and movement traces;
 * :mod:`repro.baselines` — card-reader, TAM and brute-force baselines;
@@ -73,7 +67,7 @@ from repro.api import (
     Ltam,
     grant,
 )
-from repro.engine import AccessControlEngine, AlertKind, QueryEngine
+from repro.engine import AlertKind, QueryEngine
 from repro.locations import (
     LocationGraph,
     LocationGraphBuilder,
@@ -124,7 +118,6 @@ __all__ = [
     "EnforcementPoint",
     "grant",
     # engine
-    "AccessControlEngine",
     "AlertKind",
     "QueryEngine",
 ]

@@ -17,9 +17,7 @@ they describe::
 Figure 3 databases, the continuous monitor and the clock to a
 :class:`~repro.api.pdp.DecisionPoint` (decisions) and an
 :class:`~repro.api.pep.EnforcementPoint` (side effects), and layers the
-administrative operations (grant/revoke/rules/derivation) on top.  The
-legacy :class:`~repro.engine.access_control.AccessControlEngine` is a thin
-subclass that adds the seed's method names.
+administrative operations (grant/revoke/rules/derivation) on top.
 """
 
 from __future__ import annotations
@@ -51,10 +49,8 @@ from repro.storage.authorization_db import (
 from repro.storage.movement_db import (
     InMemoryMovementDatabase,
     MovementDatabase,
-    ShardedInMemoryMovementDatabase,
     SqliteMovementDatabase,
 )
-from repro.storage.sharding import resolve_shard_count
 from repro.storage.profile_db import (
     InMemoryUserProfileDatabase,
     SqliteUserProfileDatabase,
@@ -437,7 +433,6 @@ class LtamBuilder:
         self._hierarchy: Optional[LocationHierarchy] = None
         self._backend = "memory"
         self._backend_path: Optional[str] = None
-        self._shards = None
         self._stages: Optional[List[DecisionStage]] = None
         self._rules: List[AuthorizationRule] = []
         self._grants: List[Union[LocationTemporalAuthorization, AuthorizationBuilder]] = []
@@ -468,20 +463,6 @@ class LtamBuilder:
             raise EnforcementError("the in-memory backend does not take a path")
         self._backend = kind
         self._backend_path = path
-        return self
-
-    def shards(self, shards) -> "LtamBuilder":
-        """Shard the movement store's occupancy layer by subject.
-
-        *shards* is a positive integer or ``"auto"`` (one shard per CPU
-        core).  On the memory backend this selects the
-        :class:`~repro.storage.movement_db.ShardedInMemoryMovementDatabase`
-        — log and projection both sharded, so ``observe_stream()`` /
-        ``record_many`` ingest from multiple threads in parallel.  On the
-        SQLite backend the in-process projection is sharded (the log stays
-        the single-writer SQLite connection).
-        """
-        self._shards = resolve_shard_count(shards)
         return self
 
     def pipeline(self, *stages: DecisionStage) -> "LtamBuilder":
@@ -550,10 +531,8 @@ class LtamBuilder:
         if self._backend == "sqlite":
             path = self._backend_path if self._backend_path is not None else ":memory:"
             authorization_db = SqliteAuthorizationDatabase(path)
-            movement_db = SqliteMovementDatabase(path, self._hierarchy, shards=self._shards)
+            movement_db = SqliteMovementDatabase(path, self._hierarchy)
             profile_db = SqliteUserProfileDatabase(path)
-        elif self._shards is not None:
-            movement_db = ShardedInMemoryMovementDatabase(self._hierarchy, shards=self._shards)
         engine = Ltam(
             self._hierarchy,
             authorization_db=authorization_db,

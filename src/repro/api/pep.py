@@ -2,9 +2,8 @@
 
 :class:`EnforcementPoint` is the single owner of everything the decision
 pipeline must never do: writing the audit log, emitting alerts, and feeding
-movement observations to the continuous monitor.  The seed engine interleaved
-these concerns with decision logic inside ``request_access`` /
-``observe_entry``; here they live behind one object so a deployment can swap
+movement observations to the continuous monitor.  These concerns live
+behind one object, apart from the decision logic, so a deployment can swap
 the PDP pipeline without touching enforcement, and vice versa.
 """
 

@@ -1,14 +1,12 @@
-"""Enforcement layer: access-control engine, monitor, alerts, audit, queries.
+"""Enforcement layer: monitor, alerts, audit, queries.
 
 Implements the system architecture of Figure 3 on top of the storage layer:
 the continuous movement monitor with its security alerts, occupancy sessions,
 the audit log, and the Query Engine with its small query language.  The
-decision/enforcement split itself (PDP/PEP) lives in :mod:`repro.api`;
-:class:`AccessControlEngine` remains here as the backwards-compatible facade
-over it.
+access control engine itself — the decision/enforcement split (PDP/PEP) and
+the :class:`~repro.api.builder.Ltam` facade over it — lives in
+:mod:`repro.api`.
 """
-
-from typing import TYPE_CHECKING
 
 from repro.engine.alerts import Alert, AlertKind, AlertSink
 from repro.engine.audit import AuditEntry, AuditEntryKind, AuditLog
@@ -16,11 +14,7 @@ from repro.engine.monitor import MovementMonitor
 from repro.engine.query import QueryEngine, QueryResult, parse
 from repro.engine.session import OccupancySession, SessionTable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.access_control import AccessControlEngine
-
 __all__ = [
-    "AccessControlEngine",
     "MovementMonitor",
     "Alert",
     "AlertKind",
@@ -34,15 +28,3 @@ __all__ = [
     "QueryResult",
     "parse",
 ]
-
-
-def __getattr__(name: str):
-    # AccessControlEngine is imported lazily: it is built on repro.api, which
-    # in turn imports this package's monitor/audit/alerts submodules — eager
-    # import here would be circular.
-    if name == "AccessControlEngine":
-        from repro.engine.access_control import AccessControlEngine
-
-        globals()["AccessControlEngine"] = AccessControlEngine
-        return AccessControlEngine
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

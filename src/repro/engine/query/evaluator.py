@@ -3,8 +3,8 @@
 *"The query engine evaluates queries by the system administrators and the
 access control engine based on the information stored in all of the
 databases."*  :class:`QueryEngine` executes parsed queries (or raw query
-strings) against an :class:`~repro.engine.access_control.AccessControlEngine`
-— its authorization, movement and profile databases, its audit log/alert
+strings) against an :class:`~repro.api.builder.Ltam` engine — its
+authorization, movement and profile databases, its audit log/alert
 sink, and the location hierarchy — and returns tabular
 :class:`~repro.engine.query.ast.QueryResult` objects.
 """
@@ -34,17 +34,18 @@ from repro.locations.routes import find_route
 from repro.core.grant import authorize_route
 from repro.storage.movement_db import MovementKind
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.access_control import AccessControlEngine
 from repro.temporal.interval import TimeInterval
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.builder import Ltam
 
 __all__ = ["QueryEngine"]
 
 
 class QueryEngine:
-    """Evaluate LTAM queries against an access-control engine's state."""
+    """Evaluate LTAM queries against an :class:`~repro.api.builder.Ltam` engine's state."""
 
-    def __init__(self, engine: AccessControlEngine) -> None:
+    def __init__(self, engine: "Ltam") -> None:
         self._engine = engine
 
     # ------------------------------------------------------------------ #

@@ -145,9 +145,9 @@ holds the two pieces:
                                      'repro route')       --map fabric.json)
 
 * :class:`~repro.service.fabric.PartitionMap` — a versioned consistent-hash
-  assignment of subjects to named partitions.  Same CRC32/virtual-node ring
-  as the in-process :class:`~repro.storage.sharding.HashRing`, so growing
-  the fleet remaps only ``~1/n`` of the subjects; explicit per-subject pins
+  assignment of subjects to named partitions.  A CRC32/virtual-node ring
+  (:func:`~repro.storage.sharding.stable_hash`), so growing the fleet
+  remaps only ``~1/n`` of the subjects; explicit per-subject pins
   move a hot subject without touching the ring.  Serializes to a JSON file
   every ``repro serve --map`` / ``repro route --map`` process shares.
 * :class:`~repro.service.fabric.FabricRouter` — routes point ops to the

@@ -61,10 +61,12 @@ def _dumps(payload: Dict[str, Any]) -> str:
 class WireFragments:
     """One cached decision's pre-serialized wire forms, JSON and binary.
 
-    The JSON pair is computed eagerly at prime time; the binary pair is
-    filled on first use by a binary connection, so JSON-only deployments
-    never pay the pure-Python encode.  The fill is idempotent — two racing
-    connections compute identical bytes — so no lock is needed.
+    The JSON pair is computed eagerly at prime time.  The binary pair is
+    filled from the same encoded dict when a binary connection primes the
+    entry (``binary=True``), or else on first use by a binary connection,
+    so JSON-only deployments never pay the pure-Python encode.  The fill is
+    idempotent — two racing connections compute identical bytes — so no
+    lock is needed.
 
     This is the payload the server attaches to cache entries *and* the
     value the persistent tier stores verbatim: a promoted or re-admitted
@@ -73,11 +75,13 @@ class WireFragments:
 
     __slots__ = ("json_full", "json_elided", "bin_full", "bin_elided")
 
-    def __init__(self, encoded: Dict[str, Any]) -> None:
+    def __init__(self, encoded: Dict[str, Any], *, binary: bool = False) -> None:
         self.json_full = _dumps(encoded)
         self.json_elided = _dumps(elide_decision(encoded))
         self.bin_full: Optional[bytes] = None
         self.bin_elided: Optional[bytes] = None
+        if binary:
+            self._fill_binary(encoded)
 
     @classmethod
     def from_stored(
@@ -98,11 +102,13 @@ class WireFragments:
     def binary(self, decision, include_trace: bool) -> bytes:
         fragment = self.bin_full if include_trace else self.bin_elided
         if fragment is None:
-            encoded = decision_to_dict(decision)
-            self.bin_full = wire.encode_value(encoded)
-            self.bin_elided = wire.encode_value(elide_decision(encoded))
+            self._fill_binary(decision_to_dict(decision))
             fragment = self.bin_full if include_trace else self.bin_elided
         return fragment
+
+    def _fill_binary(self, encoded: Dict[str, Any]) -> None:
+        self.bin_full = wire.encode_value(encoded)
+        self.bin_elided = wire.encode_value(elide_decision(encoded))
 
 
 def engine_fingerprint(engine) -> str:

@@ -1,12 +1,11 @@
 """The partitioned serving fabric: subjects sharded across server processes.
 
-PR 3 sharded the occupancy projection *inside* one process and the replica
-work made copies of one log coherent; this module composes them into a
-fleet.  A :class:`PartitionMap` assigns every subject to a named partition
-with the same consistent-hash construction the in-process
-:class:`~repro.storage.sharding.HashRing` uses (CRC32 points, virtual
-nodes) — stable across processes and restarts, minimal-remap under growth —
-and a :class:`FabricRouter` in front of the partitions speaks the ordinary
+The replica work made copies of one log coherent; this module spreads
+subjects over a fleet instead.  A :class:`PartitionMap` assigns every
+subject to a named partition on a consistent-hash ring
+(:func:`~repro.storage.sharding.stable_hash` points, virtual nodes) —
+stable across processes and restarts, minimal-remap under growth — and a
+:class:`FabricRouter` in front of the partitions speaks the ordinary
 service protocol:
 
 * **point ops** (``decide`` / ``enforce`` / ``observe``) are forwarded to

@@ -1035,7 +1035,7 @@ class LtamServer(AsyncServiceHost):
         return fragments.json_full if include_trace else fragments.json_elided
 
     def _prime_cache(self, request, decision, include_trace: bool, binary: bool, token):
-        fragments = _Fragments(decision_to_dict(decision))
+        fragments = _Fragments(decision_to_dict(decision), binary=binary)
         # The token was captured before evaluation; a mutation that landed
         # mid-evaluation makes this store a no-op instead of resurrecting a
         # pre-mutation decision the eviction already covered.

@@ -34,20 +34,12 @@ history:
   in O(log n) and compact amortized, so revocation churn never rebuilds
   per call.
 
-Scaling the projection — sharding, checkpoints, streaming
----------------------------------------------------------
+Scaling the projection — checkpoints, streaming
+-----------------------------------------------
 
-Three knobs turn the single-projection read model into the ingest-scale
+Two knobs turn the single-projection read model into the ingest-scale
 subsystem of a production deployment:
 
-* **Sharding** (:mod:`repro.storage.sharding`): ``shards=N`` (or
-  ``"auto"`` = CPU count) splits the projection into N shard-local
-  projections keyed by a consistent hash on the subject; a subject's whole
-  state lives in one shard, so point reads stay O(1)/O(log n) while
-  cross-shard reads (``occupants``, ``subjects_inside``, histograms) merge
-  lazily.  :class:`~repro.storage.movement_db.ShardedInMemoryMovementDatabase`
-  shards the log too — ``record_many`` batches from multiple writer
-  threads land under per-shard locks, in parallel.
 * **Checkpoint/compaction**:
   :meth:`~repro.storage.movement_db.MovementDatabase.checkpoint` persists
   the projection snapshot (SQLite: ``occ_checkpoint`` tables; memory: a
@@ -91,7 +83,6 @@ from repro.storage.movement_db import (
     MovementKind,
     MovementNotice,
     MovementRecord,
-    ShardedInMemoryMovementDatabase,
     SqliteMovementDatabase,
 )
 from repro.storage.occupancy import OccupancyAnomaly, OccupancyService
@@ -100,14 +91,11 @@ from repro.storage.profile_db import (
     SqliteUserProfileDatabase,
     UserProfileDatabase,
 )
-from repro.storage.sharding import HashRing, ShardedOccupancyService
 
 __all__ = [
     "IntervalIndex",
     "OccupancyAnomaly",
     "OccupancyService",
-    "HashRing",
-    "ShardedOccupancyService",
     "MovementIngestor",
     "BatchFailure",
     "CheckpointPolicy",
@@ -120,7 +108,6 @@ __all__ = [
     "MovementKind",
     "MovementRecord",
     "InMemoryMovementDatabase",
-    "ShardedInMemoryMovementDatabase",
     "SqliteMovementDatabase",
     "UserProfileDatabase",
     "InMemoryUserProfileDatabase",

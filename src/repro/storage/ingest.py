@@ -25,17 +25,15 @@ classic group-commit shape:
 
 Failure semantics follow the sink.  ``record_many`` is all-or-nothing, and
 ``observe_many`` runs inside the movement database's ``bulk()`` scope —
-transactional on SQLite and on the plain in-memory backend — so a failing
+transactional on SQLite and on the in-memory backend — so a failing
 batch (e.g. a strict-mode inconsistent exit) leaves the *movement store*
 exactly as if the batch were never submitted; it is recorded as a
 :class:`BatchFailure` and re-raised as :class:`~repro.errors.IngestError`
-by the next ``flush()``/``close()``.  Two caveats: the monitor's
-in-process session/alert state may retain the records an ``observe_many``
-batch processed *before* the failing one (sessions are observability
-state, not storage), and the sharded in-memory store's ``bulk()`` is a
-no-op (its own ``record_many`` validates up front instead).  Later batches
-keep flowing; an enforcement pipeline must not stop observing the building
-because one tracker emitted garbage.
+by the next ``flush()``/``close()``.  One caveat: the monitor's in-process
+session/alert state may retain the records an ``observe_many`` batch
+processed *before* the failing one (sessions are observability state, not
+storage).  Later batches keep flowing; an enforcement pipeline must not stop
+observing the building because one tracker emitted garbage.
 """
 
 from __future__ import annotations

@@ -22,22 +22,13 @@ in derived tables (``occ_current``, ``occ_entry_counts``) updated in the
 same transaction as each insert, so reopening a database file does not
 require an O(n) replay.
 
-Two scale features sit on top of the projection:
-
-* **Sharding** — a backend built with ``shards=N`` (or ``shards="auto"``,
-  one shard per CPU core) partitions its projection into N shard-local
-  projections keyed by a consistent hash on the subject
-  (:class:`~repro.storage.sharding.ShardedOccupancyService`).
-  :class:`ShardedInMemoryMovementDatabase` additionally shards the log
-  itself, so ``record_many`` batches from multiple writer threads ingest
-  in parallel — shard locks are the only contention points.
-* **Checkpoint/compaction** — :meth:`MovementDatabase.checkpoint` persists
-  the projection snapshot (SQLite: the ``occ_checkpoint`` tables; memory:
-  a pickle-free tuple) and, with ``compact=True``, archives the log prefix
-  it covers.  Replay-style reads (``history()``, audit replays, crash
-  recovery of the SQLite derived tables) then cost O(events since the
-  checkpoint) instead of O(all time); ``history(include_archived=True)``
-  still reaches the full log.
+Checkpoint/compaction sits on top of the projection:
+:meth:`MovementDatabase.checkpoint` persists the projection snapshot
+(SQLite: the ``occ_checkpoint`` tables; memory: a pickle-free tuple) and,
+with ``compact=True``, archives the log prefix it covers.  Replay-style
+reads (``history()``, audit replays, crash recovery of the SQLite derived
+tables) then cost O(events since the checkpoint) instead of O(all time);
+``history(include_archived=True)`` still reaches the full log.
 """
 
 from __future__ import annotations
@@ -55,7 +46,6 @@ from repro.core.subjects import subject_name
 from repro.locations.location import LocationName, location_name
 from repro.locations.multilevel import LocationHierarchy
 from repro.storage.occupancy import OccupancyAnomaly, OccupancyService
-from repro.storage.sharding import ShardedOccupancyService, resolve_shard_count
 from repro.temporal.interval import TimeInterval
 
 __all__ = [
@@ -65,7 +55,6 @@ __all__ = [
     "MovementRecord",
     "MovementDatabase",
     "InMemoryMovementDatabase",
-    "ShardedInMemoryMovementDatabase",
     "SqliteMovementDatabase",
 ]
 
@@ -218,17 +207,13 @@ class MovementDatabase(ABC):
         hierarchy: Optional[LocationHierarchy] = None,
         *,
         strict: bool = False,
-        shards=None,
     ) -> None:
         self._hierarchy = hierarchy
         self._strict = strict
-        self._shards = resolve_shard_count(shards)
         self._occupancy = self._service_factory()
         self._movement_listeners: List = []
 
     def _service_factory(self):
-        if self._shards is not None:
-            return ShardedOccupancyService(self._shards)
         return OccupancyService()
 
     @property
@@ -242,19 +227,9 @@ class MovementDatabase(ABC):
         return self._strict
 
     @property
-    def occupancy_service(self):
-        """The event-indexed projection serving this database's hot reads.
-
-        An :class:`OccupancyService`, or a
-        :class:`~repro.storage.sharding.ShardedOccupancyService` (same read
-        API) when the database was built with ``shards=...``.
-        """
+    def occupancy_service(self) -> OccupancyService:
+        """The event-indexed projection serving this database's hot reads."""
         return self._occupancy
-
-    @property
-    def shard_count(self) -> int:
-        """How many projection shards this database runs (1 when unsharded)."""
-        return self._shards if self._shards is not None else 1
 
     @property
     def anomalies(self) -> Tuple[OccupancyAnomaly, ...]:
@@ -887,310 +862,6 @@ class InMemoryMovementDatabase(MovementDatabase):
         return len(self._records)
 
 
-class ShardedInMemoryMovementDatabase(MovementDatabase):
-    """Sharded in-memory movement store for parallel multi-thread ingest.
-
-    Both the occupancy projection *and* the movement log are partitioned
-    into ``shards`` shard-local slices keyed by a consistent hash on the
-    subject (``"auto"`` = one shard per CPU core).  A ``record_many`` batch
-    is partitioned once, then each partition's log append **and** projection
-    fold happen as one atomic unit under that shard's lock — so a checkpoint
-    walking the shards always sees a log that matches its projection.
-
-    Writer threads (one per tracker feed) take turns: each ``record_many``
-    validates, traces notices and lands its batch under one writer lock.
-    Under CPython's GIL two writers never fold at the same time anyway; the
-    lock only changes *how* they alternate.  Without it, every runnable
-    writer competes for the interpreter lock and forces a thread switch
-    every few milliseconds, and on a busy host each switch waits for the OS
-    to schedule the next thread — four writers then ingested at half the
-    speed of one.  A writer blocked on the lock asks for nothing.
-
-    Log order: each batch atomically reserves a position in the global
-    sequence, which linearizes concurrent batches; within a batch, each
-    shard's partition keeps its arrival order.  :meth:`history` merges the
-    shard logs back into a **globally time-ordered** record list (stable
-    sort over the segment merge): per-subject event order is always exactly
-    the ingest order (a subject lives whole in one shard, and records
-    arrive in time order per subject), while the interleaving of equal-time
-    events from *different* subjects may differ from the original batch
-    interleaving.  Occupancy semantics only depend on per-subject order, so
-    every projection read is identical to the unsharded store's.
-
-    ``strict=True`` relies on the same lock: the batch pre-check must
-    observe a frozen occupancy map to reject inconsistent exits
-    all-or-nothing.
-    """
-
-    def __init__(
-        self,
-        hierarchy: Optional[LocationHierarchy] = None,
-        *,
-        strict: bool = False,
-        shards="auto",
-    ) -> None:
-        super().__init__(hierarchy, strict=strict, shards="auto" if shards is None else shards)
-        count = self._occupancy.shard_count
-        # Shard-local logs hold (batch_seq, records) segments — one append
-        # per batch partition, no per-record bookkeeping on the hot path.
-        self._shard_records: List[List[Tuple[int, List[MovementRecord]]]] = [
-            [] for _ in range(count)
-        ]
-        self._seq_lock = threading.Lock()
-        self._next_seq = 1
-        self._recorded_total = 0
-        self._writer_lock = threading.Lock()
-        #: archived segments as (batch_seq, shard_index, records); guarded by
-        #: _archive_lock — a scheduled checkpoint on the ingest writer thread
-        #: and a foreground/remote prune or history() may touch it together.
-        self._archive: List[Tuple[int, int, List[MovementRecord]]] = []
-        self._archive_lock = threading.Lock()
-        #: imported archive segments get batch seqs counting DOWN from 0 so
-        #: they sort before every native segment — a migrated subject's
-        #: adopted history precedes anything it does here (guarded by
-        #: _archive_lock).
-        self._import_seq = 0
-        self._checkpoint_position = 0
-        self._checkpoint_state: Optional[tuple] = None
-        self._archived_through: Optional[int] = None
-
-    def _service_factory(self):
-        return ShardedOccupancyService(self._shards)
-
-    # -- writes --------------------------------------------------------- #
-    def record(self, record: MovementRecord) -> MovementRecord:
-        self.record_many((record,))
-        return record
-
-    def record_many(self, records: Iterable[MovementRecord]) -> List[MovementRecord]:
-        # A list is read in place: the log keeps the per-shard partitions,
-        # never the caller's list, and a 100k-record copy would only give
-        # the garbage collector another young container to traverse.
-        batch = records if type(records) is list else list(records)
-        # Strict validation replays the batch against the *current*
-        # occupancy, which must not move until the batch lands; the
-        # previous-location reads behind the notices need the same.
-        with self._writer_lock:
-            self._validate_batch(batch)
-            notices = self._notices_for(batch)
-            self._ingest(batch)
-        self._notify(notices)
-        return batch
-
-    def _ingest(self, batch: List[MovementRecord]) -> None:
-        if not batch:
-            return
-        with self._seq_lock:
-            base = self._next_seq
-            self._next_seq += len(batch)
-            self._recorded_total += len(batch)
-        # Partition once (memoized shard lookup), then land each partition
-        # as one log segment + one projection fold — this plus apply_many is
-        # the ingest hot path.  The batch holds every shard it touches for
-        # the whole landing, so a checkpoint walking the shards never sees a
-        # segment without its fold.
-        partitions = self._occupancy.partition(batch)
-        with self._occupancy.locked_shards(partitions) as projections:
-            for index, projection in projections.items():
-                records = partitions[index]
-                self._shard_records[index].append((base, records))
-                projection.apply_many(records)
-
-    # -- checkpoint ------------------------------------------------------ #
-    def checkpoint(self, *, compact: bool = True) -> Checkpoint:
-        """Shard-by-shard checkpoint: snapshot + archive under each shard lock.
-
-        Shards hold disjoint subjects, so per-shard atomicity is global
-        consistency; the shards are visited sequentially and writers to
-        other shards are never blocked.  Under concurrent writers the
-        checkpoint is a **consistent per-shard cut**, not a global log
-        prefix: ``position`` counts exactly the events the snapshot/archive
-        covers (counted under each shard's lock, never the in-flight
-        batches a writer has reserved seqs for but not yet landed), so
-        ``events_since_checkpoint`` over-approximates — it never claims
-        coverage of an event the checkpoint missed.
-        """
-        state = []
-        covered = self.archived_count
-        archived_now = 0
-        for index in range(len(self._shard_records)):
-            with self._occupancy.locked_shard(index) as projection:
-                shard_log = self._shard_records[index]
-                for _, records in shard_log:
-                    covered += len(records)
-                if compact:
-                    with self._archive_lock:
-                        for batch_seq, records in shard_log:
-                            archived_now += len(records)
-                            newest = max(record.time for record in records)
-                            if self._archived_through is None or newest > self._archived_through:
-                                self._archived_through = newest
-                            self._archive.append((batch_seq, index, records))
-                    shard_log.clear()
-                state.append(projection.snapshot())
-        self._checkpoint_state = tuple(state)
-        self._checkpoint_position = covered
-        if compact:
-            with self._archive_lock:
-                self._archive.sort(key=lambda entry: (entry[0], entry[1]))
-        return Checkpoint(
-            covered,
-            archived_now,
-            len(self._occupancy.subjects_inside()),
-            len(self._occupancy.entry_counts()),
-        )
-
-    @property
-    def checkpoint_state(self) -> Optional[tuple]:
-        """The per-shard projection snapshots from the last :meth:`checkpoint`."""
-        return self._checkpoint_state
-
-    @property
-    def archived_count(self) -> int:
-        with self._archive_lock:
-            return sum(len(records) for _, _, records in self._archive)
-
-    @property
-    def archived_through(self) -> Optional[int]:
-        return self._archived_through
-
-    def _prune_archive(self, retain: int) -> int:
-        # Segments are kept sorted oldest-first by (batch seq, shard); drop
-        # from the front, slicing the boundary segment for an exact cap.
-        with self._archive_lock:
-            excess = sum(len(records) for _, _, records in self._archive) - retain
-            if excess <= 0:
-                return 0
-            dropped = 0
-            while dropped < excess and self._archive:
-                batch_seq, index, records = self._archive[0]
-                take = min(excess - dropped, len(records))
-                if take == len(records):
-                    self._archive.pop(0)
-                else:
-                    self._archive[0] = (batch_seq, index, records[take:])
-                dropped += take
-            return dropped
-
-    @property
-    def events_since_checkpoint(self) -> int:
-        with self._seq_lock:
-            recorded = self._next_seq - 1
-        return recorded - self._checkpoint_position
-
-    @property
-    def applied_position(self) -> int:
-        # Monotonic like the other backends: the total ever recorded, not
-        # the currently retained count — archive pruning must never make a
-        # position go backwards (consumers diff positions to count events).
-        with self._seq_lock:
-            return self._recorded_total
-
-    def clear(self) -> None:
-        for index in range(len(self._shard_records)):
-            with self._occupancy.locked_shard(index) as projection:
-                self._shard_records[index].clear()
-                projection.clear()
-        with self._archive_lock:
-            self._archive.clear()
-        with self._seq_lock:
-            self._next_seq = 1
-            self._recorded_total = 0
-        with self._archive_lock:
-            self._import_seq = 0
-        self._checkpoint_position = 0
-        self._checkpoint_state = None
-        self._archived_through = None
-
-    # -- partition handoff ----------------------------------------------- #
-    def import_archived(
-        self, records: Iterable[MovementRecord], *, archived_through: Optional[int] = None
-    ) -> int:
-        batch = list(records)
-        for record in batch:
-            self._validate_record(record)
-        notices = self._notices_for(batch)
-        with self._archive_lock:
-            self._import_seq -= 1
-            seq = self._import_seq
-        for index, partition in self._occupancy.partition(batch).items():
-            with self._occupancy.locked_shard(index) as projection:
-                with self._archive_lock:
-                    self._archive.append((seq, index, partition))
-                projection.apply_many(partition)
-        with self._archive_lock:
-            self._archive.sort(key=lambda entry: (entry[0], entry[1]))
-        if archived_through is not None and (
-            self._archived_through is None or archived_through > self._archived_through
-        ):
-            self._archived_through = int(archived_through)
-        self._notify(notices)
-        return len(batch)
-
-    def forget_subjects(self, subjects: Iterable[str]) -> List[LocationName]:
-        wanted = {subject_name(subject) for subject in subjects}
-        affected = set()
-        for index in range(len(self._shard_records)):
-            with self._occupancy.locked_shard(index) as projection:
-                shard_log = self._shard_records[index]
-                kept_log: List[Tuple[int, List[MovementRecord]]] = []
-                for batch_seq, records in shard_log:
-                    kept = [r for r in records if r.subject not in wanted]
-                    affected.update(
-                        r.location for r in records if r.subject in wanted
-                    )
-                    if kept:
-                        kept_log.append((batch_seq, kept))
-                self._shard_records[index] = kept_log
-                for subject in wanted:
-                    projection.forget_subject(subject)
-        with self._archive_lock:
-            kept_archive: List[Tuple[int, int, List[MovementRecord]]] = []
-            for batch_seq, index, records in self._archive:
-                kept = [r for r in records if r.subject not in wanted]
-                affected.update(r.location for r in records if r.subject in wanted)
-                if kept:
-                    kept_archive.append((batch_seq, index, kept))
-            self._archive = kept_archive
-        return sorted(affected)
-
-    # -- reads ---------------------------------------------------------- #
-    def history(
-        self,
-        *,
-        subject: Optional[str] = None,
-        location: Optional[str] = None,
-        window: Optional[TimeInterval] = None,
-        include_archived: bool = False,
-    ) -> List[MovementRecord]:
-        segments: List[Tuple[int, int, List[MovementRecord]]] = []
-        if include_archived:
-            with self._archive_lock:
-                segments.extend(self._archive)
-        for index in range(len(self._shard_records)):
-            with self._occupancy.locked_shard(index):
-                segments.extend(
-                    (batch_seq, index, records)
-                    for batch_seq, records in self._shard_records[index]
-                )
-        segments.sort(key=lambda entry: (entry[0], entry[1]))
-        merged: List[MovementRecord] = []
-        for _, _, records in segments:
-            merged.extend(records)
-        # Stable time sort: consumers (the query engine's point-in-time
-        # replays) rely on a globally time-ordered history, and segment
-        # order alone interleaves same-batch shards arbitrarily.  Records
-        # arrive in time order per subject (the record() contract), so the
-        # stable sort preserves every subject's event order.
-        merged.sort(key=lambda record: record.time)
-        return _filter_records(merged, subject, location, window)
-
-    def __len__(self) -> int:
-        return sum(
-            len(records) for shard_log in self._shard_records for _, records in shard_log
-        )
-
-
 class SqliteMovementDatabase(MovementDatabase):
     """SQLite-backed movement store (``:memory:`` by default).
 
@@ -1222,8 +893,7 @@ class SqliteMovementDatabase(MovementDatabase):
     consistency level the monitor does not need.  Other
     connections to the same file — the authorization and profile stores of a
     shared-path deployment — may read and write freely; WAL journaling keeps
-    them live while a batch transaction is open here.  Multi-writer ingest is
-    the sharding follow-on tracked in ROADMAP.md.
+    them live while a batch transaction is open here.
     """
 
     _SCHEMA = """
@@ -1286,9 +956,8 @@ class SqliteMovementDatabase(MovementDatabase):
         hierarchy: Optional[LocationHierarchy] = None,
         *,
         strict: bool = False,
-        shards=None,
     ) -> None:
-        super().__init__(hierarchy, strict=strict, shards=shards)
+        super().__init__(hierarchy, strict=strict)
         # check_same_thread=False: the streaming observe path
         # (MovementIngestor) drives enforcement — and therefore these
         # stores — from its background writer thread while the constructing
@@ -1321,8 +990,6 @@ class SqliteMovementDatabase(MovementDatabase):
     def _service_factory(self):
         # Windowed entry counts run as indexed SQL COUNT(*) queries, so the
         # projection skips the timelines and reopening stays O(#pairs).
-        if self._shards is not None:
-            return ShardedOccupancyService(self._shards, track_timelines=False)
         return OccupancyService(track_timelines=False)
 
     def _meta(self, key: str) -> int:

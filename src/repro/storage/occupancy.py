@@ -541,11 +541,6 @@ class OccupancyService:
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
-    @property
-    def tracks_timelines(self) -> bool:
-        """Whether windowed entry counts can be answered from the timelines."""
-        return self._track_timelines
-
     def current_location(self, subject: str) -> Optional[str]:
         """The location *subject* is tracked inside, or ``None`` — O(1)."""
         return self._inside.get(subject)

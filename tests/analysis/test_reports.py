@@ -7,7 +7,7 @@ from repro.analysis.reports import (
     busiest_locations,
     detection_stats,
 )
-from repro.engine.access_control import AccessControlEngine
+from repro.api import Ltam
 from repro.engine.alerts import Alert, AlertKind
 from repro.locations.layouts import ntu_campus_hierarchy
 from repro.paper import fixtures as paper
@@ -17,11 +17,11 @@ from repro.storage.movement_db import InMemoryMovementDatabase
 
 @pytest.fixture
 def engine_after_timeline():
-    engine = AccessControlEngine(ntu_campus_hierarchy())
+    engine = Ltam(ntu_campus_hierarchy())
     engine.grant_all(paper.section5_authorizations())
     for step in paper.section5_timeline():
         if step.action == "request":
-            decision = engine.request_access(step.time, step.subject, step.location)
+            decision = engine.enforce((step.time, step.subject, step.location))
             if decision.granted:
                 engine.observe_entry(step.time, step.subject, step.location)
         else:

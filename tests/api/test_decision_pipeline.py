@@ -80,19 +80,6 @@ class TestClassicPipeline:
         for stage in ("known-location", "candidate-lookup", "entry-window", "entry-budget"):
             assert stage in text
 
-    def test_parity_with_legacy_check_request(self, engine):
-        from repro.engine.access_control import AccessControlEngine
-
-        legacy = AccessControlEngine(ntu_campus_hierarchy())
-        legacy.grant_all(paper.section5_authorizations())
-        for time in (0, 5, 10, 15, 25, 60):
-            for subject in ("Alice", "Bob", "Mallory"):
-                new = engine.decide((time, subject, "CAIS"))
-                old = legacy.check_request(AccessRequest(time, subject, "CAIS"))
-                assert new.granted == old.granted
-                assert new.reason == old.reason
-                assert new.entries_used == old.entries_used
-
 
 class TestPipelineConfiguration:
     def test_pipeline_must_end_with_a_verdict(self):

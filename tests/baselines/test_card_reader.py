@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines.card_reader import CardReaderSystem
 from repro.core.requests import DenialReason
-from repro.engine.access_control import AccessControlEngine
+from repro.api import Ltam
 from repro.engine.alerts import AlertKind
 from repro.locations.layouts import ntu_campus_hierarchy
 from repro.paper import fixtures as paper
@@ -49,7 +49,7 @@ class TestMonitoringBlindSpot:
     def test_ltam_detects_what_the_card_reader_misses(self, reader):
         """The Section 1 claim: continuous monitoring catches tailgating and overstay."""
         hierarchy = ntu_campus_hierarchy()
-        ltam = AccessControlEngine(hierarchy)
+        ltam = Ltam(hierarchy)
         ltam.grant_all(paper.section5_authorizations())
 
         # Mallory tailgates into CAIS, and Alice overstays past t=50.
@@ -73,6 +73,6 @@ class TestMonitoringBlindSpot:
         hierarchy = ntu_campus_hierarchy()
         shared = InMemoryAuthorizationDatabase(paper.section5_authorizations())
         reader = CardReaderSystem(hierarchy, authorization_db=shared)
-        ltam = AccessControlEngine(hierarchy, authorization_db=shared)
+        ltam = Ltam(hierarchy, authorization_db=shared)
         assert reader.swipe(10, "Alice", "CAIS").granted
-        assert ltam.request_access(10, "Alice", "CAIS").granted
+        assert ltam.enforce((10, "Alice", "CAIS")).granted

@@ -12,8 +12,6 @@ The topologies:
 * ``embedded-memory`` — the reference: an in-process engine over the plain
   in-memory movement store;
 * ``embedded-sqlite`` — same engine over a SQLite file;
-* ``sharded`` — the sharded in-memory movement store (log + projection
-  partitioned by subject);
 * ``server`` — one cached ``LtamServer`` spoken to over the wire;
 * ``server-binary`` — the same server, but the client negotiates the compact
   binary wire format first; traces are explicitly re-requested
@@ -93,7 +91,6 @@ from repro.storage.movement_db import MovementKind, MovementRecord
 TOPOLOGIES = (
     "embedded-memory",
     "embedded-sqlite",
-    "sharded",
     "server",
     "server-binary",
     "server-persistent-cache",
@@ -337,17 +334,14 @@ class Transcript:
 class EmbeddedTopology:
     """Reference runner: everything in-process, no cache."""
 
-    def __init__(self, name: str, *, backend: Optional[str] = None, shards=None) -> None:
+    def __init__(self, name: str, *, backend: Optional[str] = None) -> None:
         self.name = name
         self._backend = backend
-        self._shards = shards
 
     def start(self, workload: Workload, tmp_path) -> None:
         builder = _apply_capacities(Ltam.builder().hierarchy(workload.hierarchy), workload)
         if self._backend == "sqlite":
             builder = builder.backend("sqlite", str(tmp_path / f"{self.name}.db"))
-        if self._shards is not None:
-            builder = builder.shards(self._shards)
         self.engine = builder.build()
         self.engine.grant_all(workload.authorizations)
         self._queries = QueryEngine(self.engine)
@@ -860,8 +854,6 @@ def make_topology(name: str):
         return EmbeddedTopology(name)
     if name == "embedded-sqlite":
         return EmbeddedTopology(name, backend="sqlite")
-    if name == "sharded":
-        return EmbeddedTopology(name, shards=4)
     if name == "server":
         return ServerTopology()
     if name == "server-binary":

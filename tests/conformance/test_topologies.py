@@ -1,11 +1,11 @@
-"""Cross-topology conformance: five topologies, one byte-identical transcript.
+"""Cross-topology conformance: eight topologies, one byte-identical transcript.
 
 Every serving topology replays the same workload script (observes, decision
 streams, scoped queries, a mid-trace compacting checkpoint) and must produce
 the canonical-JSON transcript of the embedded in-memory reference — the
 differential form of every parity claim the per-layer suites make
-(in-memory vs SQLite backends, sharded vs unsharded stores, server vs
-embedded, cached vs uncached, replicated vs single).
+(in-memory vs SQLite backends, server vs embedded, cached vs uncached,
+binary vs NDJSON wire, replicated vs single, partitioned vs whole).
 
 The per-topology timings are printed as a table at the end of the module;
 the CI conformance job uploads them as an artifact.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SubjectDirectory
-from repro.engine import AccessControlEngine
+from repro.api import Ltam
 from repro.locations import LocationHierarchy, figure4_hierarchy, ntu_campus_hierarchy
 from repro.paper import fixtures as paper
 from repro.simulation import AuthorizationWorkloadGenerator, WorkloadConfig, campus_hierarchy, generate_subjects
@@ -37,9 +37,9 @@ def table1_db() -> InMemoryAuthorizationDatabase:
 
 
 @pytest.fixture
-def ntu_engine(ntu) -> AccessControlEngine:
+def ntu_engine(ntu) -> Ltam:
     """An access-control engine protecting the NTU campus."""
-    return AccessControlEngine(ntu)
+    return Ltam(ntu)
 
 
 @pytest.fixture

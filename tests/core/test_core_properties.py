@@ -11,8 +11,7 @@ from repro.core.authorization import (
 )
 from repro.core.conflicts import ResolutionStrategy, detect_conflicts, merge_pair, resolve_conflicts
 from repro.core.grant import AuthorizationIndex, authorize_route
-from repro.core.requests import AccessRequest
-from repro.engine.access_control import AccessControlEngine
+from repro.api import Ltam
 from repro.locations.layouts import figure4_hierarchy
 from repro.temporal.chronon import FOREVER
 from repro.temporal.interval import TimeInterval
@@ -108,9 +107,9 @@ class TestDecisionProperties:
     @settings(max_examples=50, deadline=None)
     def test_definition7_equivalence(self, pool, time):
         """The engine grants iff some authorization admits the subject at that time."""
-        engine = AccessControlEngine(figure4_hierarchy())
+        engine = Ltam(figure4_hierarchy())
         engine.grant_all(pool)
-        decision = engine.check_request(AccessRequest(time, "Alice", "A"))
+        decision = engine.decide((time, "Alice", "A"))
         admits = any(
             auth.subject == "Alice" and auth.location == "A" and auth.permits_entry_at(time)
             for auth in pool

@@ -1,11 +1,11 @@
-"""Unit and scenario tests for the Access Control Engine (Section 5)."""
+"""Unit and scenario tests for the Access Control Engine (Section 5): :class:`Ltam`."""
 
 import pytest
 
+from repro.api import Decision, Ltam
 from repro.errors import EnforcementError
 from repro.core.authorization import LocationTemporalAuthorization
-from repro.core.requests import AccessRequest, DenialReason
-from repro.engine.access_control import AccessControlEngine
+from repro.core.requests import DenialReason
 from repro.engine.alerts import AlertKind
 from repro.locations.layouts import ntu_campus_hierarchy
 from repro.paper import fixtures as paper
@@ -16,7 +16,7 @@ from repro.storage.profile_db import SqliteUserProfileDatabase
 
 @pytest.fixture
 def engine():
-    return AccessControlEngine(ntu_campus_hierarchy())
+    return Ltam(ntu_campus_hierarchy())
 
 
 @pytest.fixture
@@ -102,41 +102,105 @@ class TestAdministration:
 
 class TestRequestEvaluation:
     def test_unknown_location_denied(self, loaded):
-        decision = loaded.request_access(5, "Alice", "SCE.GO")
+        decision = loaded.enforce((5, "Alice", "SCE.GO"))
         assert not decision.granted
         assert decision.reason is DenialReason.NO_AUTHORIZATION
-        missing = loaded.check_request(AccessRequest(5, "Alice", "Narnia"))
+        missing = loaded.decide((5, "Alice", "Narnia"))
         assert missing.reason is DenialReason.UNKNOWN_LOCATION
 
     def test_outside_entry_duration(self, loaded):
-        decision = loaded.request_access(5, "Alice", "CAIS")
+        decision = loaded.enforce((5, "Alice", "CAIS"))
         assert decision.reason is DenialReason.OUTSIDE_ENTRY_DURATION
 
     def test_grant_and_entry_counting(self, loaded):
-        assert loaded.request_and_enter(10, "Alice", "CAIS").granted
+        assert loaded.enforce_and_enter((10, "Alice", "CAIS")).granted
         # The budget is 2: one more entry is allowed, then exhausted.
         loaded.observe_exit(12, "Alice", "CAIS")
-        assert loaded.request_and_enter(15, "Alice", "CAIS").granted
+        assert loaded.enforce_and_enter((15, "Alice", "CAIS")).granted
         loaded.observe_exit(16, "Alice", "CAIS")
-        final = loaded.request_access(18, "Alice", "CAIS")
+        final = loaded.enforce((18, "Alice", "CAIS"))
         assert not final.granted
         assert final.reason is DenialReason.ENTRY_LIMIT_EXHAUSTED
         assert final.entries_used == 2
 
-    def test_check_request_is_pure(self, loaded):
+    def test_decide_is_pure(self, loaded):
         before = len(loaded.audit)
-        loaded.check_request(AccessRequest(10, "Alice", "CAIS"))
+        loaded.decide((10, "Alice", "CAIS"))
         assert len(loaded.audit) == before
 
     def test_denied_requests_raise_denied_alert_and_audit_entry(self, loaded):
-        loaded.request_access(15, "Bob", "CAIS")
+        loaded.enforce((15, "Bob", "CAIS"))
         assert [a.kind for a in loaded.alerts] == [AlertKind.DENIED_REQUEST]
         assert len(loaded.audit.decisions(granted=False)) == 1
 
-    def test_request_access_without_recording(self, loaded):
-        loaded.request_access(15, "Bob", "CAIS", record=False)
+    def test_denied_decide_raises_no_alert_and_no_audit_entry(self, loaded):
+        loaded.decide((15, "Bob", "CAIS"))
         assert len(loaded.alerts) == 0
         assert len(loaded.audit) == 0
+
+    def test_decisions_carry_traces(self, loaded):
+        decision = loaded.decide((15, "Alice", "CAIS"))
+        assert isinstance(decision, Decision)
+        assert decision.deciding_stage == "entry-budget"
+        denied = loaded.decide((15, "Mallory", "CAIS"))
+        assert denied.reason is DenialReason.NO_AUTHORIZATION
+        assert denied.deciding_stage == "candidate-lookup"
+
+
+class TestDerivationCaching:
+    def test_cached_engine_reused_while_profiles_unchanged(self, engine):
+        base = paper.example_base_authorization_a1()
+        engine.grant(base)
+        engine.profile_db.set_supervisor("Alice", "Bob")
+        engine.advance_to(10)
+        engine.add_rule(paper.example_rule_r1(base))
+        first = engine.derivation
+        engine.derive_authorizations()
+        engine.derive_authorizations()
+        # The in-memory profile directory mutates in place, so the cached
+        # derivation engine stays valid and is not rebuilt per call.
+        assert engine.derivation is first
+
+    def test_in_memory_profile_changes_visible_through_cache(self, engine):
+        base = paper.example_base_authorization_a1()
+        engine.grant(base)
+        engine.profile_db.set_supervisor("Alice", "Bob")
+        engine.advance_to(10)
+        engine.add_rule(paper.example_rule_r1(base))
+        cached = engine.derivation
+        engine.profile_db.set_supervisor("Alice", "Carol")
+        engine.derive_authorizations()
+        assert engine.derivation is cached
+        subjects = {a.subject for a in engine.authorization_db.for_location("CAIS")}
+        assert "Carol" in subjects
+
+    def test_sqlite_profile_change_rebuilds_the_engine(self):
+        engine = Ltam(ntu_campus_hierarchy(), profile_db=SqliteUserProfileDatabase())
+        base = paper.example_base_authorization_a1()
+        engine.grant(base)
+        engine.profile_db.set_supervisor("Alice", "Bob")
+        engine.advance_to(10)
+        engine.add_rule(paper.example_rule_r1(base))
+        stale = engine.derivation
+        # A write invalidates the SQLite directory cache; the derivation
+        # engine must follow the fresh directory object.
+        engine.profile_db.set_supervisor("Alice", "Carol")
+        engine.derive_authorizations()
+        assert engine.derivation is not stale
+        subjects = {a.subject for a in engine.authorization_db.for_location("CAIS")}
+        assert "Carol" in subjects
+
+    def test_rules_survive_a_rebuild(self):
+        engine = Ltam(ntu_campus_hierarchy(), profile_db=SqliteUserProfileDatabase())
+        base = paper.example_base_authorization_a1()
+        engine.grant(base)
+        engine.profile_db.set_supervisor("Alice", "Bob")
+        engine.advance_to(10)
+        rule = paper.example_rule_r1(base)
+        engine.add_rule(rule)
+        engine.profile_db.set_supervisor("Alice", "Carol")
+        rebuilt = engine.derivation
+        assert [r.rule_id for r in rebuilt.rules] == [rule.rule_id]
 
 
 class TestSection5Scenario:
@@ -144,7 +208,7 @@ class TestSection5Scenario:
         outcomes = []
         for step in paper.section5_timeline():
             if step.action == "request":
-                decision = loaded.request_access(step.time, step.subject, step.location)
+                decision = loaded.enforce((step.time, step.subject, step.location))
                 outcomes.append(decision.granted)
                 if decision.granted:
                     loaded.observe_entry(step.time, step.subject, step.location)
@@ -154,14 +218,14 @@ class TestSection5Scenario:
         assert outcomes == expected
 
     def test_where_is_and_occupants(self, loaded):
-        loaded.request_and_enter(10, "Alice", "CAIS")
+        loaded.enforce_and_enter((10, "Alice", "CAIS"))
         assert loaded.where_is("Alice") == "CAIS"
         assert loaded.occupants("CAIS") == ["Alice"]
         loaded.observe_exit(20, "Alice", "CAIS")
         assert loaded.where_is("Alice") is None
 
     def test_overstay_alert_via_clock(self, loaded):
-        loaded.request_and_enter(10, "Alice", "CAIS")
+        loaded.enforce_and_enter((10, "Alice", "CAIS"))
         loaded.advance_to(49)
         assert not loaded.alerts.of_kind(AlertKind.OVERSTAY)
         loaded.tick(5)  # past the exit window end (50)
@@ -170,7 +234,7 @@ class TestSection5Scenario:
     def test_inaccessible_locations_via_engine(self):
         from repro.locations.layouts import figure4_hierarchy
 
-        engine = AccessControlEngine(figure4_hierarchy())
+        engine = Ltam(figure4_hierarchy())
         engine.grant_all(paper.table1_authorizations())
         report = engine.inaccessible_locations("Alice")
         assert report.inaccessible == {"C"}
@@ -179,15 +243,15 @@ class TestSection5Scenario:
 class TestSqliteBackedEngine:
     def test_engine_with_sqlite_backends(self):
         hierarchy = ntu_campus_hierarchy()
-        engine = AccessControlEngine(
+        engine = Ltam(
             hierarchy,
             authorization_db=SqliteAuthorizationDatabase(),
             movement_db=SqliteMovementDatabase(":memory:", hierarchy),
             profile_db=SqliteUserProfileDatabase(),
         )
         engine.grant_all(paper.section5_authorizations())
-        assert engine.request_and_enter(10, "Alice", "CAIS").granted
+        assert engine.enforce_and_enter((10, "Alice", "CAIS")).granted
         engine.observe_exit(12, "Alice", "CAIS")
-        assert engine.request_and_enter(15, "Alice", "CAIS").granted
+        assert engine.enforce_and_enter((15, "Alice", "CAIS")).granted
         engine.observe_exit(16, "Alice", "CAIS")
-        assert not engine.request_access(18, "Alice", "CAIS").granted
+        assert not engine.enforce((18, "Alice", "CAIS")).granted

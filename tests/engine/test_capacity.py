@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.authorization import LocationTemporalAuthorization
-from repro.engine.access_control import AccessControlEngine
+from repro.api import Ltam
 from repro.engine.alerts import AlertKind
 from repro.errors import EnforcementError
 from repro.locations.layouts import ntu_campus_hierarchy
@@ -12,7 +12,7 @@ from repro.locations.layouts import ntu_campus_hierarchy
 @pytest.fixture
 def engine():
     hierarchy = ntu_campus_hierarchy()
-    engine = AccessControlEngine(hierarchy)
+    engine = Ltam(hierarchy)
     for person in ("Alice", "Bob", "Carol"):
         engine.grant(LocationTemporalAuthorization((person, "CAIS"), (0, 100), (0, 200)))
     return engine

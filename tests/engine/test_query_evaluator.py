@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import QueryError
-from repro.engine.access_control import AccessControlEngine
+from repro.api import Ltam
 from repro.engine.query.ast import QueryResult, WhoIsInQuery
 from repro.engine.query.evaluator import QueryEngine
 from repro.locations.layouts import figure4_hierarchy, ntu_campus_hierarchy
@@ -12,12 +12,12 @@ from repro.paper import fixtures as paper
 
 @pytest.fixture
 def engine():
-    engine = AccessControlEngine(ntu_campus_hierarchy())
+    engine = Ltam(ntu_campus_hierarchy())
     engine.grant_all(paper.section5_authorizations())
     # Replay the Section 5 timeline so the databases have content.
     for step in paper.section5_timeline():
         if step.action == "request":
-            decision = engine.request_access(step.time, step.subject, step.location)
+            decision = engine.enforce((step.time, step.subject, step.location))
             if decision.granted:
                 engine.observe_entry(step.time, step.subject, step.location)
         else:
@@ -78,7 +78,7 @@ class TestDecisionQueries:
 
 class TestReasoningQueries:
     def test_inaccessible_and_accessible(self):
-        engine = AccessControlEngine(figure4_hierarchy())
+        engine = Ltam(figure4_hierarchy())
         engine.grant_all(paper.table1_authorizations())
         queries = QueryEngine(engine)
         assert queries.evaluate("INACCESSIBLE FOR Alice").rows == (("C",),)

@@ -11,7 +11,7 @@ from repro.analysis.reachability import build_reachability_matrix
 from repro.analysis.reports import build_violation_report, detection_stats
 from repro.baselines.card_reader import CardReaderSystem
 from repro.core.authorization import LocationTemporalAuthorization
-from repro.engine.access_control import AccessControlEngine
+from repro.api import Ltam
 from repro.engine.alerts import AlertKind
 from repro.engine.query.evaluator import QueryEngine
 from repro.locations.layouts import ntu_campus_hierarchy
@@ -32,7 +32,7 @@ class TestTrackingToEnforcementPipeline:
 
     def test_visitor_walk_through_the_ntu_campus(self):
         hierarchy = ntu_campus_hierarchy()
-        engine = AccessControlEngine(hierarchy)
+        engine = Ltam(hierarchy)
         # The visitor may enter the general office and walk to CAIS, once.
         for location in ("SCE.GO", "SCE.SectionA", "SCE.SectionB", "CAIS"):
             engine.grant(
@@ -59,7 +59,7 @@ class TestTrackingToEnforcementPipeline:
 
     def test_intruder_is_flagged_along_the_same_pipeline(self):
         hierarchy = ntu_campus_hierarchy()
-        engine = AccessControlEngine(hierarchy)  # no authorizations at all
+        engine = Ltam(hierarchy)  # no authorizations at all
         boundary_map = grid_boundaries(hierarchy.primitive_names, hierarchy=hierarchy, columns=5)
         tracker = TrackingSimulator(boundary_map)
         fixes = tracker.fixes_for_path("Intruder", ["SCE.GO", "SCE.SectionA"], start_time=0, dwell=3)
@@ -83,7 +83,7 @@ class TestSimulatedPopulationScenario:
         simulator = MovementSimulator(hierarchy, auths, seed=22)
         trace = simulator.population_trace(subjects, steps=6, p_tailgate=0.4, p_overstay=0.3)
 
-        engine = AccessControlEngine(hierarchy)
+        engine = Ltam(hierarchy)
         engine.grant_all(auths)
         reader = CardReaderSystem(hierarchy, authorization_db=engine.authorization_db)
 
@@ -128,7 +128,7 @@ class TestSimulatedPopulationScenario:
 class TestPrivacyPipeline:
     def test_release_policy_and_anonymized_export(self):
         hierarchy = ntu_campus_hierarchy()
-        engine = AccessControlEngine(hierarchy)
+        engine = Ltam(hierarchy)
         engine.grant(LocationTemporalAuthorization(("Alice", "CAIS"), (0, 50), (0, 100)))
         engine.grant(LocationTemporalAuthorization(("Bob", "CHIPES"), (0, 50), (0, 100)))
         engine.observe_entry(10, "Alice", "CAIS")
@@ -150,7 +150,7 @@ class TestPrivacyPipeline:
 class TestSqliteEndToEnd:
     def test_full_stack_on_sqlite_backends(self, tmp_path):
         hierarchy = ntu_campus_hierarchy()
-        engine = AccessControlEngine(
+        engine = Ltam(
             hierarchy,
             authorization_db=SqliteAuthorizationDatabase(str(tmp_path / "auth.db")),
             movement_db=SqliteMovementDatabase(str(tmp_path / "move.db"), hierarchy),
@@ -164,7 +164,7 @@ class TestSqliteEndToEnd:
 
         engine.add_rule(AuthorizationRule(0, base, OperatorTuple(op_subject=SupervisorOf()), rule_id="sup"))
         assert engine.authorization_db.for_subject_location("Bob", "CAIS")
-        assert engine.request_and_enter(10, "Bob", "CAIS").granted
+        assert engine.enforce_and_enter((10, "Bob", "CAIS")).granted
         assert engine.where_is("Bob") == "CAIS"
         queries = QueryEngine(engine)
         assert queries.evaluate("AUTHORIZATIONS FOR Bob AT CAIS").rows

@@ -10,7 +10,7 @@ import pytest
 from repro.core.accessibility import find_inaccessible
 from repro.core.derivation import DerivationEngine
 from repro.core.grant import authorize_route
-from repro.engine.access_control import AccessControlEngine
+from repro.api import Ltam
 from repro.engine.query.evaluator import QueryEngine
 from repro.locations.layouts import figure4_hierarchy, ntu_campus_hierarchy
 from repro.locations.routes import RouteKind, classify_route, find_route, is_route
@@ -87,7 +87,7 @@ class TestSection4Examples:
     def test_example1_revocation_on_supervisor_change(self):
         """'the authorization for Bob will be revoked' when Alice's supervisor changes."""
         hierarchy = ntu_campus_hierarchy()
-        engine = AccessControlEngine(hierarchy)
+        engine = Ltam(hierarchy)
         base = paper.example_base_authorization_a1()
         engine.grant(base)
         engine.profile_db.set_supervisor("Alice", "Bob")
@@ -107,12 +107,12 @@ class TestSection5Enforcement:
     """E4 — the access-request worked example of Section 5."""
 
     def test_timeline_decisions(self):
-        engine = AccessControlEngine(ntu_campus_hierarchy())
+        engine = Ltam(ntu_campus_hierarchy())
         engine.grant_all(paper.section5_authorizations())
         observed = []
         for step in paper.section5_timeline():
             if step.action == "request":
-                decision = engine.request_access(step.time, step.subject, step.location)
+                decision = engine.enforce((step.time, step.subject, step.location))
                 observed.append((step.time, step.subject, step.location, decision.granted))
                 if decision.granted:
                     engine.observe_entry(step.time, step.subject, step.location)
@@ -126,10 +126,10 @@ class TestSection5Enforcement:
         ]
 
     def test_query_engine_answers_the_section5_questions(self):
-        engine = AccessControlEngine(ntu_campus_hierarchy())
+        engine = Ltam(ntu_campus_hierarchy())
         engine.grant_all(paper.section5_authorizations())
-        engine.request_and_enter(10, "Alice", "CAIS")
-        engine.request_and_enter(16, "Bob", "CHIPES")
+        engine.enforce_and_enter((10, "Alice", "CAIS"))
+        engine.enforce_and_enter((16, "Bob", "CHIPES"))
         engine.observe_exit(20, "Bob", "CHIPES")
         queries = QueryEngine(engine)
         assert queries.evaluate("CAN Bob ENTER CHIPES AT 30").scalar is False

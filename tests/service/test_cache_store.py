@@ -467,6 +467,40 @@ class TestWarmRestart:
 
 
 # --------------------------------------------------------------------- #
+# Cached wire fragments
+# --------------------------------------------------------------------- #
+class TestWireFragments:
+    def test_binary_decide_miss_encodes_the_decision_once(self, monkeypatch):
+        import repro.service.cache_store as cache_store_module
+        import repro.service.server as server_module
+
+        calls = []
+
+        def counting(decision, *args, **kwargs):
+            calls.append(decision)
+            return decision_to_dict(decision, *args, **kwargs)
+
+        monkeypatch.setattr(server_module, "decision_to_dict", counting)
+        monkeypatch.setattr(cache_store_module, "decision_to_dict", counting)
+        hierarchy = LocationHierarchy(grid_building("B", 2, 2))
+        engine = Ltam(hierarchy)
+        engine.grant(grant("alice").at("B.R0C0").during(0, 100).entries(5))
+        server = LtamServer(engine, cache=DecisionCache())
+        server.start()
+        try:
+            with ServiceClient(*server.address, wire="binary") as client:
+                assert client.wire == "binary"
+                for time in (10, 11, 12):
+                    assert client.decide((time, "alice", "B.R0C0")).granted
+                assert len(calls) == 3  # one encode per miss
+                # A hit serves the stored bytes: no encode at all.
+                client.decide((10, "alice", "B.R0C0"), trace=True)
+                assert len(calls) == 3
+        finally:
+            server.stop()
+
+
+# --------------------------------------------------------------------- #
 # Single-flight
 # --------------------------------------------------------------------- #
 class TestSingleFlight:

@@ -31,7 +31,7 @@ from repro.service.fabric import DEFAULT_ROUTER_PORT
 from repro.service.protocol import request_to_dict
 from repro.simulation.buildings import grid_building
 from repro.simulation.workload import AuthorizationWorkloadGenerator, generate_subjects
-from repro.storage.sharding import DEFAULT_VIRTUAL_NODES, HashRing
+from repro.storage.sharding import DEFAULT_VIRTUAL_NODES
 
 SUBJECT_COUNT = 24
 HISTORY_EVENTS = 600
@@ -169,22 +169,8 @@ class TestMinimalRemapProperties:
             if before != f"p{removed}":
                 assert shrunk.owner(subject) == before
 
-    @given(
-        shards=st.integers(min_value=1, max_value=8),
-        keys=st.integers(min_value=10, max_value=120),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_hash_ring_growth_moves_keys_only_to_the_new_shard(self, shards, keys):
-        old = HashRing(shards, virtual_nodes=32)
-        grown = HashRing(shards + 1, virtual_nodes=32)
-        for index in range(keys):
-            key = f"user-{index:03d}"
-            before, after = old.shard_for(key), grown.shard_for(key)
-            if before != after:
-                assert after == shards
-
     def test_partition_map_and_default_ring_agree_on_the_construction(self):
-        """The map's points are the ring's construction with names for shards."""
+        """The map places the shared default number of points per partition."""
         assert DEFAULT_VIRTUAL_NODES == PartitionMap({"a": "h:1"}).virtual_nodes
 
 

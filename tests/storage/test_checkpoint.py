@@ -23,7 +23,6 @@ from repro.storage.movement_db import (
     InMemoryMovementDatabase,
     MovementKind,
     MovementRecord,
-    ShardedInMemoryMovementDatabase,
     SqliteMovementDatabase,
 )
 from repro.temporal.interval import TimeInterval
@@ -76,6 +75,18 @@ class TestInMemoryCheckpoint:
             record for record in events if record.subject == subjects[0]
         ]
 
+    def test_clear_resets_checkpoint_and_archive(self, trace):
+        hierarchy, _, events = trace
+        database = InMemoryMovementDatabase(hierarchy)
+        database.record_many(events[:1_000])
+        database.checkpoint()
+        database.record_many(events[1_000:1_100])
+        database.clear()
+        assert len(database) == 0
+        assert database.archived_count == 0
+        assert database.history(include_archived=True) == []
+        assert database.subjects_inside() == {}
+
     def test_checkpoint_state_is_a_plain_tuple_snapshot(self, trace):
         hierarchy, _, events = trace
         database = InMemoryMovementDatabase(hierarchy)
@@ -124,31 +135,6 @@ class TestInMemoryCheckpoint:
 
         with pytest.raises(StorageError):
             Duck().checkpoint()
-
-
-class TestShardedCheckpoint:
-    def test_checkpoint_and_archive_across_shards(self, trace):
-        hierarchy, subjects, events = trace
-        database = ShardedInMemoryMovementDatabase(hierarchy, shards=4)
-        database.record_many(events[:3_000])
-        receipt = database.checkpoint()
-        database.record_many(events[3_000:])
-
-        oracle = InMemoryMovementDatabase(hierarchy)
-        oracle.record_many(events)
-
-        locations = sorted({record.location for record in events})[:6]
-        assert_state_parity(database, oracle, subjects[:15], locations)
-        assert receipt.archived == 3_000
-        assert database.archived_count == 3_000
-        assert len(database) == 1_000
-        assert database.events_since_checkpoint == 1_000
-        full = database.history(include_archived=True)
-        assert len(full) == len(events)
-        for subject in subjects[:10]:
-            assert [record for record in full if record.subject == subject] == [
-                record for record in events if record.subject == subject
-            ]
 
 
 class TestSqliteCheckpoint:

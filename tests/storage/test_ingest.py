@@ -22,7 +22,6 @@ from repro.storage.movement_db import (
     InMemoryMovementDatabase,
     MovementKind,
     MovementRecord,
-    ShardedInMemoryMovementDatabase,
 )
 
 
@@ -74,17 +73,6 @@ class TestGroupCommit:
             time.sleep(0.005)
         assert len(database) == 1  # flushed by age, not by size or close
         ingestor.close()
-
-    def test_sharded_database_as_sink(self, deployment):
-        hierarchy, subjects, events = deployment
-        database = ShardedInMemoryMovementDatabase(hierarchy, shards=3)
-        with MovementIngestor(database.record_many, batch_size=100) as stream:
-            stream.submit_many(events)
-        oracle = InMemoryMovementDatabase(hierarchy)
-        oracle.record_many(events)
-        assert database.subjects_inside() == oracle.subjects_inside()
-        for subject in subjects[:10]:
-            assert database.history(subject=subject) == oracle.history(subject=subject)
 
 
 class TestFailureSemantics:
@@ -161,7 +149,6 @@ class TestEnginePath:
         engine = (
             Ltam.builder()
             .hierarchy(hierarchy)
-            .shards(2)
             .grant(grant("alice").at(location).during(0, 100).entries(5))
             .build()
         )
@@ -188,7 +175,6 @@ class TestEnginePath:
             Ltam.builder()
             .hierarchy(hierarchy)
             .backend("sqlite")
-            .shards(2)
             .grant(grant("alice").at(location).during(0, 100).entries(5))
             .build()
         )
@@ -200,30 +186,24 @@ class TestEnginePath:
 
 
 class TestConcurrencyRegressions:
-    def test_sharded_history_is_globally_time_ordered(self, deployment):
-        """Regression: the query engine's point-in-time replay early-breaks
-        on the first record past the query time, so history() must come
-        back time-sorted even when one batch spans several shards."""
-        hierarchy, _, events = deployment
-        database = ShardedInMemoryMovementDatabase(hierarchy, shards=4)
-        database.record_many(events)
-        merged = database.history()
-        assert [r.time for r in merged] == sorted(r.time for r in merged)
-
-    def test_point_in_time_queries_on_a_sharded_engine(self, deployment):
+    def test_point_in_time_queries_match_a_replay_of_the_log(self, deployment):
+        """The query engine's point-in-time replay early-breaks on the first
+        record past the query time; its answer must equal folding the
+        records up to that time."""
         from repro.api import Ltam
         from repro.engine.query.evaluator import QueryEngine
+        from repro.storage.occupancy import OccupancyService
 
         hierarchy, _, events = deployment
-        sharded = Ltam.builder().hierarchy(hierarchy).shards(4).build()
-        plain = Ltam.builder().hierarchy(hierarchy).build()
-        for engine in (sharded, plain):
-            engine.movement_db.record_many(events[:400])
+        engine = Ltam.builder().hierarchy(hierarchy).build()
+        engine.movement_db.record_many(events[:400])
         probe_location = events[0].location
         probe_time = events[200].time
-        lhs = QueryEngine(sharded).evaluate(f"WHO IS IN {probe_location} AT {probe_time}")
-        rhs = QueryEngine(plain).evaluate(f"WHO IS IN {probe_location} AT {probe_time}")
-        assert lhs.rows == rhs.rows
+        oracle = OccupancyService()
+        oracle.apply_many([record for record in events[:400] if record.time <= probe_time])
+        rows = QueryEngine(engine).evaluate(f"WHO IS IN {probe_location} AT {probe_time}").rows
+        assert rows  # the probe location is occupied at the probe time
+        assert rows == tuple((subject,) for subject in oracle.occupants(probe_location))
 
     def test_checkpoint_concurrent_with_streaming(self, deployment):
         """Regression: checkpoint() racing the writer's bulk() scope must

@@ -15,7 +15,6 @@ from repro.storage.movement_db import (
     InMemoryMovementDatabase,
     MovementKind,
     MovementRecord,
-    ShardedInMemoryMovementDatabase,
     SqliteMovementDatabase,
 )
 
@@ -207,17 +206,6 @@ class TestPruneArchive:
         # The newest archived records survive.
         assert database.history(include_archived=True) == events[-30:]
         assert database.prune_archive(30) == 0  # already at the cap
-
-    def test_sharded_prune(self):
-        hierarchy = LocationHierarchy(grid_building("B", 3, 3))
-        database = ShardedInMemoryMovementDatabase(hierarchy, shards=4)
-        generator = AuthorizationWorkloadGenerator(hierarchy, seed=3)
-        events = generator.movement_events(generate_subjects(9), 120)
-        database.record_many(events)
-        database.checkpoint()
-        dropped = database.prune_archive(45)
-        assert dropped == len(events) - 45
-        assert database.archived_count == 45
 
     def test_sqlite_prune_drops_oldest(self, tmp_path):
         path = str(tmp_path / "prune.db")

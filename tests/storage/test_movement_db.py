@@ -156,6 +156,30 @@ class TestBatchRecording:
             # Validation happens before anything is written.
             assert len(backend) == 0
 
+    def test_batch_error_names_first_unknown_location(self):
+        hierarchy = figure4_hierarchy()
+        batch = [
+            MovementRecord(1, "Alice", "A", MovementKind.ENTER),
+            MovementRecord(2, "Bob", "nowhere", MovementKind.ENTER),
+            MovementRecord(3, "Carol", "elsewhere", MovementKind.ENTER),
+        ]
+        for backend in (InMemoryMovementDatabase(hierarchy), SqliteMovementDatabase(":memory:", hierarchy)):
+            with pytest.raises(StorageError, match="'nowhere'"):
+                backend.record_many(batch)
+            assert len(backend) == 0
+
+    def test_caller_list_is_not_aliased_by_the_log(self):
+        # record_many reads a list argument in place; reusing the buffer
+        # afterwards must not rewrite what was recorded.
+        database = InMemoryMovementDatabase()
+        first = [MovementRecord(time, f"s{time}", "CAIS", MovementKind.ENTER) for time in range(5)]
+        second = [MovementRecord(time, f"t{time}", "CHIPES", MovementKind.ENTER) for time in range(5, 10)]
+        buffer = list(first)
+        database.record_many(buffer)
+        buffer[:] = second
+        assert len(database) == 5
+        assert database.history() == first
+
     def test_bulk_groups_writes(self, db):
         with db.bulk():
             db.record_entry(1, "Alice", "CAIS")

@@ -28,7 +28,6 @@ from repro.storage.movement_db import (
     SqliteMovementDatabase,
 )
 from repro.storage.occupancy import OccupancyService
-from repro.storage.sharding import ShardedOccupancyService
 
 SUBJECTS = [f"s{index:02d}" for index in range(40)]
 LOCATIONS = [f"L{index}" for index in range(10)]
@@ -215,28 +214,17 @@ class TestMemoryBulk:
 
 
 # ---------------------------------------------------------------------- #
-# The SQLite backend (plain and sharded projection)
+# The SQLite backend
 # ---------------------------------------------------------------------- #
-@pytest.fixture(params=[None, 2], ids=["unsharded", "sharded"])
-def shards(request):
-    return request.param
-
-
-def _sqlite(history, shards):
-    database = SqliteMovementDatabase(shards=shards)
+def _sqlite(history):
+    database = SqliteMovementDatabase()
     database.record_many(history)
     return database
 
 
-def _sqlite_factory(shards):
-    if shards is None:
-        return lambda: OccupancyService(track_timelines=False)
-    return lambda: ShardedOccupancyService(shards, track_timelines=False)
-
-
 class TestSqliteScopes:
-    def test_failing_bulk_rolls_back(self, history, shards):
-        database = _sqlite(history, shards)
+    def test_failing_bulk_rolls_back(self, history):
+        database = _sqlite(history)
         service = database.occupancy_service
         before, logged = service.snapshot(), len(database)
         scope = _scope(history, seed=5)
@@ -250,8 +238,8 @@ class TestSqliteScopes:
         assert service.snapshot() == before
         assert len(database) == logged
 
-    def test_failing_standalone_record_many_rolls_back(self, history, shards, monkeypatch):
-        database = _sqlite(history, shards)
+    def test_failing_standalone_record_many_rolls_back(self, history, monkeypatch):
+        database = _sqlite(history)
         service = database.occupancy_service
         before, logged = service.snapshot(), len(database)
         scope = _scope(history, seed=6)
@@ -269,8 +257,8 @@ class TestSqliteScopes:
         assert len(database) == logged
         _assert_closed(service)
 
-    def test_failing_import_archived_rolls_back(self, history, shards, monkeypatch):
-        database = _sqlite(history, shards)
+    def test_failing_import_archived_rolls_back(self, history, monkeypatch):
+        database = _sqlite(history)
         service = database.occupancy_service
         before = service.snapshot()
         scope = _scope(history, seed=7)
@@ -287,8 +275,8 @@ class TestSqliteScopes:
         assert service.snapshot() == before
         assert database.archived_count == 0
 
-    def test_committed_scopes_equal_a_fresh_fold(self, history, shards):
-        database = _sqlite(history, shards)
+    def test_committed_scopes_equal_a_fresh_fold(self, history):
+        database = _sqlite(history)
         scope = _scope(history, seed=8)
         with database.bulk():
             for record in scope[:40]:
@@ -296,11 +284,11 @@ class TestSqliteScopes:
             database.record_many(scope[40:80])
         database.record_many(scope[80:])
         assert database.occupancy_service.snapshot() == _fresh(
-            history + scope, _sqlite_factory(shards)
+            history + scope, lambda: OccupancyService(track_timelines=False)
         )
 
-    def test_clear_is_refused_inside_bulk(self, history, shards):
-        database = _sqlite(history, shards)
+    def test_clear_is_refused_inside_bulk(self, history):
+        database = _sqlite(history)
         logged = len(database)
         with database.bulk():
             with pytest.raises(StorageError, match="inside an open bulk"):
