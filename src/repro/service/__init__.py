@@ -36,8 +36,9 @@ ingest" item:
   flag day.  Decision responses are **trace-elided by default** (outcome,
   reason, entries used, admitting authorization; per-stage traces only on
   ``trace=true``), and ``decide_many`` is vectorized end to end: one
-  frame in, one batched cache pass over pre-serialized fragments (JSON
-  and binary forms both cached), one frame out — on the server and on the
+  frame in, one batched cache pass over pre-serialized fragments (each
+  wire form encoded the first time a connection asks for it, then
+  cached), one frame out — on the server and on the
   fabric router's scatter-gather alike.  The decisions/sec/core budget is
   asserted by ``benchmarks/test_bench_wire.py``.
 * :mod:`repro.service.server` — :class:`LtamServer`, a stdlib-only asyncio
@@ -97,11 +98,11 @@ latency.  :mod:`repro.service.cache_store` removes that cliff with a
 **SQLite sidecar** under the cache (``repro serve --cache-path``):
 
 * :class:`~repro.service.cache_store.TieredDecisionCache` writes every
-  admitted entry **through** to the sidecar — the pre-serialized JSON and
-  binary wire fragments verbatim, stamped with the movement store's
-  applied position at admission.  LRU eviction becomes *demotion*: the row
-  is already on disk, and a later request for it promotes it back into RAM
-  and serves the stored fragments without re-running the pipeline **or**
+  admitted entry **through** to the sidecar — both JSON wire fragments
+  and whichever binary ones a connection asked for, verbatim, stamped
+  with the movement store's applied position at admission.  LRU
+  eviction becomes *demotion*: the row is already on disk, and a later
+  request for it promotes it back into RAM and serves the stored fragments without re-running the pipeline **or**
   re-encoding the response.
 * Correctness rides one invariant: **every invalidation tombstones its
   disk rows synchronously, under the same lock, on every path** — per

@@ -24,10 +24,10 @@ served the decision computed for the first one, which is only safe when the
 deployment's entry windows and budgets are aligned to bucket multiples.
 
 Entries optionally carry a *payload*, opaque to the cache — the network
-server stores the pre-serialized wire forms of the decision there (the
-JSON fragments eagerly, the binary-codec fragments filled on a binary
-connection's first hit), so cache hits skip response re-encoding too (the
-dominant cost once the pipeline is skipped), on every negotiated framing.
+server stores the decision's wire forms there (each form encoded the first
+time a connection asks for it, so a miss encodes only the reply it sends),
+so cache hits skip response re-encoding too (the dominant cost once the
+pipeline is skipped), on every negotiated framing.
 """
 
 from __future__ import annotations

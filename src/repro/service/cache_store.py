@@ -6,11 +6,15 @@ restart, reshard or replica recovery starts cold exactly when the fleet is
 most fragile, and the hot set is bounded by memory.  This module adds the
 persistence layer underneath it:
 
+* :class:`WireFragments` — the payload the server attaches to a cache
+  entry: the decision plus its four wire forms (JSON or binary, traced or
+  trace-elided), each encoded the first time some connection asks for it;
 * :class:`CacheStore` — a SQLite **sidecar file** holding cache entries
   keyed ``(subject, location, action, time_bucket)`` with their originating
   generation, the movement-log *position* they were valid at, and the
-  **pre-serialized wire fragments verbatim** (JSON eagerly, binary when it
-  was ever computed) — a disk hit skips the pipeline *and* re-encoding;
+  **pre-serialized wire fragments verbatim** (both JSON forms, encoded by
+  the durability write; each binary form once some connection asked for
+  it) — a disk hit skips the pipeline *and* re-encoding;
 * :class:`TieredDecisionCache` — a drop-in ``DecisionCache`` whose LRU
   evictions *demote* (the row is already on disk via write-through, so the
   hot set is no longer bounded by RAM), whose RAM misses *promote* spilled
@@ -58,57 +62,104 @@ def _dumps(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
 
 
-class WireFragments:
-    """One cached decision's pre-serialized wire forms, JSON and binary.
+def _auth_fragment(authorization) -> wire.Raw:
+    """The memoized binary form of an authorization, riding on the object.
 
-    The JSON pair is computed eagerly at prime time.  The binary pair is
-    filled from the same encoded dict when a binary connection primes the
-    entry (``binary=True``), or else on first use by a binary connection,
-    so JSON-only deployments never pay the pure-Python encode.  The fill is
-    idempotent — two racing connections compute identical bytes — so no
-    lock is needed.
+    Authorizations are immutable and long-lived (they come from the
+    authorization database), so their encoded form is computed once and
+    cached on the object itself — the memo can never outlive or alias its
+    subject.  Exotic slotted stand-ins simply re-encode every time.
+    """
+    fragment = getattr(authorization, "_binary_wire_fragment", None)
+    if fragment is None:
+        fragment = wire.Raw(wire.encode_value(authorization_to_dict(authorization)))
+        try:
+            object.__setattr__(authorization, "_binary_wire_fragment", fragment)
+        except (AttributeError, TypeError):
+            pass
+    return fragment
+
+
+def _binary_decision(decision, include_trace: bool) -> bytes:
+    """The binary-codec form of a decision, traced or trace-elided.
+
+    The trace-elided form is the fleet's hot shape: four keys and a spliced
+    pre-encoded authorization, no request echo, no trace.
+    """
+    if include_trace:
+        return wire.encode_value(decision_to_dict(decision))
+    authorization = decision.authorization
+    reason = decision.reason
+    return wire.encode_value(
+        {
+            "granted": decision.granted,
+            "authorization": None if authorization is None else _auth_fragment(authorization),
+            "reason": reason.value if reason is not None else None,
+            "entries_used": decision.entries_used,
+        }
+    )
+
+
+def _json_decision(decision, include_trace: bool) -> str:
+    """The NDJSON form of a decision, traced or trace-elided."""
+    if include_trace:
+        return _dumps(decision_to_dict(decision))
+    return _dumps(elide_decision(decision_to_dict(decision, include_trace=False)))
+
+
+class WireFragments:
+    """One cached decision's wire forms, each encoded on first use.
+
+    A decision has four wire forms — JSON or binary, traced or
+    trace-elided — and a reply sends one of them.  Each form fills the
+    first time some connection asks for it, through that form's one
+    encoder (:func:`_json_decision`, :func:`_binary_decision`), so a cache
+    miss pays only for the bytes it sends.  The fill is idempotent — two
+    racing connections compute identical bytes — so no lock is needed.
 
     This is the payload the server attaches to cache entries *and* the
-    value the persistent tier stores verbatim: a promoted or re-admitted
-    entry serves the exact bytes the original evaluation produced.
+    value the persistent tier stores: the durability write fills both JSON
+    forms (the traced one carries the decision across restarts), and a
+    promoted or re-admitted entry serves the exact bytes the original
+    evaluation produced.
     """
 
-    __slots__ = ("json_full", "json_elided", "bin_full", "bin_elided")
+    __slots__ = ("decision", "_forms")
 
-    def __init__(self, encoded: Dict[str, Any], *, binary: bool = False) -> None:
-        self.json_full = _dumps(encoded)
-        self.json_elided = _dumps(elide_decision(encoded))
-        self.bin_full: Optional[bytes] = None
-        self.bin_elided: Optional[bytes] = None
-        if binary:
-            self._fill_binary(encoded)
+    def __init__(self, decision) -> None:
+        self.decision = decision
+        # Indexed by ``2 * binary + include_trace``.
+        self._forms: List[Any] = [None, None, None, None]
 
     @classmethod
     def from_stored(
         cls,
+        decision,
         json_full: str,
         json_elided: str,
         bin_full: Optional[bytes],
         bin_elided: Optional[bytes],
     ) -> "WireFragments":
         """Rehydrate fragments exactly as persisted — no re-encoding."""
-        fragments = cls.__new__(cls)
-        fragments.json_full = json_full
-        fragments.json_elided = json_elided
-        fragments.bin_full = bin_full
-        fragments.bin_elided = bin_elided
+        fragments = cls(decision)
+        fragments._forms = [json_elided, json_full, bin_elided, bin_full]
         return fragments
 
-    def binary(self, decision, include_trace: bool) -> bytes:
-        fragment = self.bin_full if include_trace else self.bin_elided
-        if fragment is None:
-            self._fill_binary(decision_to_dict(decision))
-            fragment = self.bin_full if include_trace else self.bin_elided
-        return fragment
+    def encoded(self, binary: bool, include_trace: bool):
+        """The decision's form for one ``(codec, trace)`` pair: ``bytes``
+        for a binary connection, ``str`` for a JSON one."""
+        slot = (2 if binary else 0) + (1 if include_trace else 0)
+        form = self._forms[slot]
+        if form is None:
+            encode = _binary_decision if binary else _json_decision
+            form = self._forms[slot] = encode(self.decision, include_trace)
+        return form
 
-    def _fill_binary(self, encoded: Dict[str, Any]) -> None:
-        self.bin_full = wire.encode_value(encoded)
-        self.bin_elided = wire.encode_value(elide_decision(encoded))
+    def binary_filled(self) -> Tuple[Optional[bytes], Optional[bytes]]:
+        """``(bin_full, bin_elided)`` as far as connections have asked for
+        them — never encoded here, so JSON-only deployments never pay the
+        pure-Python codec."""
+        return self._forms[3], self._forms[2]
 
 
 def engine_fingerprint(engine) -> str:
@@ -386,14 +437,18 @@ class CacheStore:
             (self._access_clock, subject, location, action, bucket),
         )
 
-    def fill_binary(self, key: Key, bin_full: bytes, bin_elided: bytes) -> None:
-        """Backfill the lazily computed binary fragments onto the row."""
+    def fill_binary(
+        self, key: Key, bin_full: Optional[bytes], bin_elided: Optional[bytes]
+    ) -> None:
+        """Backfill lazily computed binary fragments onto the row, each
+        column on its own: a column already set keeps its bytes, and a
+        ``None`` form leaves its column as it is."""
         subject, location, action, bucket = key
         with self._lock:
             self._connection.execute(
-                "UPDATE cache_entries SET bin_full = ?, bin_elided = ?"
-                " WHERE subject = ? AND location = ? AND action = ? AND bucket = ?"
-                " AND bin_full IS NULL",
+                "UPDATE cache_entries SET bin_full = COALESCE(bin_full, ?),"
+                " bin_elided = COALESCE(bin_elided, ?)"
+                " WHERE subject = ? AND location = ? AND action = ? AND bucket = ?",
                 (bin_full, bin_elided, subject, location, action, bucket),
             )
             self._connection.commit()
@@ -568,22 +623,25 @@ class TieredDecisionCache(DecisionCache):
         if isinstance(payload, WireFragments):
             return payload
         # Engine-attached stores (the PDP's payload-less ``store()``) still
-        # persist servable fragments: the durability write is where the
-        # one-time encode happens.
-        return WireFragments(decision_to_dict(entry.decision))
+        # persist servable fragments.
+        return WireFragments(entry.decision)
 
     def _persist_locked(self, key: Key, entry: CachedDecision) -> None:
         if self._closed:
             return
         fragments = self._fragments_for(entry)
+        bin_full, bin_elided = fragments.binary_filled()
+        # The durability write is where a tiered cache pays the JSON encode
+        # a reply may not have needed: the row keeps both forms, and the
+        # traced one is how a promotion rebuilds the decision.
         self._store.put(
             key,
             position=self._current_position(),
             generation=entry.generation,
-            json_full=fragments.json_full,
-            json_elided=fragments.json_elided,
-            bin_full=fragments.bin_full,
-            bin_elided=fragments.bin_elided,
+            json_full=fragments.encoded(False, True),
+            json_elided=fragments.encoded(False, False),
+            bin_full=bin_full,
+            bin_elided=bin_elided,
         )
         if self._spill_limit is not None:
             self._trimmed += self._store.trim(max(self._spill_limit, self._maxsize))
@@ -600,7 +658,9 @@ class TieredDecisionCache(DecisionCache):
         except Exception:  # noqa: BLE001 - a corrupt row is a miss, not a crash
             self._store.delete_key(key)
             return None
-        fragments = WireFragments.from_stored(json_full, json_elided, bin_full, bin_elided)
+        fragments = WireFragments.from_stored(
+            decision, json_full, json_elided, bin_full, bin_elided
+        )
         # The tombstone invariant: a surviving row was never invalidated,
         # so the location's *current* generation still covers it (within a
         # process the stored and current tokens are equal; across restarts
@@ -614,17 +674,15 @@ class TieredDecisionCache(DecisionCache):
 
     def _demoted_locked(self, key: Key, entry: CachedDecision) -> None:
         # Write-through already persisted the row; eviction is a demotion.
-        # Opportunistically backfill binary fragments a binary connection
-        # computed since the row was written.
+        # Opportunistically backfill whichever binary fragments binary
+        # connections computed since the row was written.
         if self._closed:
             return
         payload = entry.payload
-        if (
-            isinstance(payload, WireFragments)
-            and payload.bin_full is not None
-            and payload.bin_elided is not None
-        ):
-            self._store.fill_binary(key, payload.bin_full, payload.bin_elided)
+        if isinstance(payload, WireFragments):
+            bin_full, bin_elided = payload.binary_filled()
+            if bin_full is not None or bin_elided is not None:
+                self._store.fill_binary(key, bin_full, bin_elided)
         # Until this instant the entry lived in the hot tier — refresh its
         # stamp so the LRU trim ranks it by *that* recency, not its
         # original write.
@@ -727,7 +785,7 @@ class TieredDecisionCache(DecisionCache):
                     self._tombstoned += 1
                     report["dropped"] += 1
                     continue
-                fragments = WireFragments.from_stored(jf, je, bf, be)
+                fragments = WireFragments.from_stored(decision, jf, je, bf, be)
                 generation = (self._epoch, self._generations.get(key[1], 0))
                 self._admit_locked(key, CachedDecision(decision, fragments, generation))
                 self._readmitted += 1

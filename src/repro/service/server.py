@@ -42,14 +42,12 @@ concurrency contract).
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import threading
 import time
 from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.serialization import authorization_to_dict
 from repro.engine.query.evaluator import QueryEngine
 from repro.errors import IngestError
 from repro.storage.ingest import (
@@ -63,7 +61,13 @@ from repro.storage.movement_db import MovementKind
 from repro.service import telemetry, wire
 from repro.service.bus import DEFAULT_SYNC_INTERVAL, ReplicaCoherence
 from repro.service.cache import DecisionCache
-from repro.service.cache_store import WireFragments, engine_fingerprint
+from repro.service.cache_store import (
+    WireFragments,
+    _binary_decision,
+    _dumps,
+    _json_decision,
+    engine_fingerprint,
+)
 from repro.service.capacity import CapacityLedger
 from repro.service.errors import (
     ProtocolError,
@@ -75,9 +79,7 @@ from repro.service.protocol import (
     alert_from_dict,
     alert_to_dict,
     checkpoint_to_dict,
-    decision_to_dict,
     decode_frame,
-    elide_decision,
     encode_frame,
     error_to_dict,
     query_result_to_dict,
@@ -121,62 +123,8 @@ class _RawBinary:
         self.data = data
 
 
-# The cached-decision wire-fragment container moved to
-# :mod:`repro.service.cache_store` so the persistent tier can store and
-# rehydrate the exact same shape; the server keeps using it under its
-# historical local name.
-_Fragments = WireFragments
-
 #: Structured per-request log (one NDJSON line per op, ``--log-requests``).
 _request_log = logging.getLogger("repro.service.requests")
-
-
-def _dumps(payload: Dict[str, Any]) -> str:
-    return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
-
-
-def _auth_fragment(authorization) -> wire.Raw:
-    """The memoized binary form of an authorization, riding on the object.
-
-    Authorizations are immutable and long-lived (they come from the
-    authorization database), so their encoded form is computed once and
-    cached on the object itself — the memo can never outlive or alias its
-    subject.  Exotic slotted stand-ins simply re-encode every time.
-    """
-    fragment = getattr(authorization, "_binary_wire_fragment", None)
-    if fragment is None:
-        fragment = wire.Raw(wire.encode_value(authorization_to_dict(authorization)))
-        try:
-            object.__setattr__(authorization, "_binary_wire_fragment", fragment)
-        except (AttributeError, TypeError):
-            pass
-    return fragment
-
-
-def _binary_decision(decision, include_trace: bool) -> bytes:
-    """Encode one freshly computed decision for a binary connection.
-
-    The trace-elided form is the fleet's hot shape: four keys and a spliced
-    pre-encoded authorization, no request echo, no trace.
-    """
-    if include_trace:
-        return wire.encode_value(decision_to_dict(decision))
-    authorization = decision.authorization
-    reason = decision.reason
-    return wire.encode_value(
-        {
-            "granted": decision.granted,
-            "authorization": None if authorization is None else _auth_fragment(authorization),
-            "reason": reason.value if reason is not None else None,
-            "entries_used": decision.entries_used,
-        }
-    )
-
-
-def _json_decision(decision, include_trace: bool) -> str:
-    if include_trace:
-        return _dumps(decision_to_dict(decision))
-    return _dumps(elide_decision(decision_to_dict(decision, include_trace=False)))
 
 
 def _fold_ingest(totals_by_mode: Dict[str, Dict[str, int]], mode: str, ingestor) -> None:
@@ -1023,19 +971,19 @@ class LtamServer(AsyncServiceHost):
         """The pre-serialized decision for a raw request dict, or ``None``.
 
         JSON connections get a ``str`` fragment, binary connections a
-        ``bytes`` one (filled lazily on the entry's first binary hit).
+        ``bytes`` one (encoded on the entry's first request for that form).
         """
         entry = self._cached_entry(raw_request, quiet=quiet)
         if entry is None:
             return None
         self._bump("cache_hits")
-        fragments: _Fragments = entry.payload
-        if binary:
-            return fragments.binary(entry.decision, include_trace)
-        return fragments.json_full if include_trace else fragments.json_elided
+        return entry.payload.encoded(binary, include_trace)
 
     def _prime_cache(self, request, decision, include_trace: bool, binary: bool, token):
-        fragments = _Fragments(decision_to_dict(decision), binary=binary)
+        """Cache a freshly evaluated decision and return the one form the
+        reply sends; the other forms wait until a connection asks."""
+        fragments = WireFragments(decision)
+        fragment = fragments.encoded(binary, include_trace)
         # The token was captured before evaluation; a mutation that landed
         # mid-evaluation makes this store a no-op instead of resurrecting a
         # pre-mutation decision the eviction already covered.
@@ -1047,9 +995,7 @@ class LtamServer(AsyncServiceHost):
             payload=fragments,
             generation=token,
         )
-        if binary:
-            return fragments.binary(decision, include_trace)
-        return fragments.json_full if include_trace else fragments.json_elided
+        return fragment
 
     def _op_hello(self, connection, message: Dict[str, Any]) -> Dict[str, Any]:
         """Wire-format negotiation; the switch applies after this response."""
@@ -1171,13 +1117,7 @@ class LtamServer(AsyncServiceHost):
                 connection.cache_outcome = "hit"
                 self._bump("cache_hits")
                 pep.attest(entry.decision, cached_generation=entry.generation)
-                fragments: _Fragments = entry.payload
-                if binary:
-                    fragment = fragments.binary(entry.decision, include_trace)
-                else:
-                    fragment = (
-                        fragments.json_full if include_trace else fragments.json_elided
-                    )
+                fragment = entry.payload.encoded(binary, include_trace)
                 return self._wrap_enforce(fragment, True, binary)
         request = request_from_dict(raw_request)
         if self._cache is not None:

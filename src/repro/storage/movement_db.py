@@ -1084,11 +1084,13 @@ class SqliteMovementDatabase(MovementDatabase):
                 )
             },
         )
-        for time, subject, location, kind in self._connection.execute(
-            "SELECT time, subject, location, kind FROM movements WHERE seq > ? ORDER BY seq",
-            (checkpoint_seq,),
-        ):
-            replay.apply(MovementRecord(time, subject, location, MovementKind(kind)))
+        replay.apply_many(
+            MovementRecord(time, subject, location, MovementKind(kind))
+            for time, subject, location, kind in self._connection.execute(
+                "SELECT time, subject, location, kind FROM movements WHERE seq > ? ORDER BY seq",
+                (checkpoint_seq,),
+            )
+        )
         self._connection.execute("DELETE FROM occ_current")
         self._connection.execute("DELETE FROM occ_entry_counts")
         self._connection.executemany(

@@ -51,10 +51,6 @@ def _decision(time=15, subject="Alice", location="CAIS"):
     )
 
 
-def _fragments(decision) -> WireFragments:
-    return WireFragments(decision_to_dict(decision))
-
-
 def _key(subject, location, time, bucket=1):
     return (subject, location, DEFAULT_ACTION, time // bucket)
 
@@ -62,7 +58,7 @@ def _key(subject, location, time, bucket=1):
 def _put(cache, subject, location, time, decision=None):
     decision = decision if decision is not None else _decision(time, subject, location)
     return cache.put(
-        subject, location, time, decision, payload=_fragments(decision)
+        subject, location, time, decision, payload=WireFragments(decision)
     )
 
 
@@ -106,6 +102,16 @@ class TestCacheStore:
         store.fill_binary(key, b"full", b"elided")
         assert store.get(key)[5:] == (b"full", b"elided")
         store.fill_binary(key, b"other", b"other")  # already filled: no-op
+        assert store.get(key)[5:] == (b"full", b"elided")
+        store.close()
+
+    def test_fill_binary_backfills_each_column_on_its_own(self, tmp_path):
+        store = CacheStore(str(tmp_path / "c.db"))
+        key = _key("A", "L", 1)
+        store.put(key, position=0, generation=None, json_full="{}", json_elided="{}")
+        store.fill_binary(key, None, b"elided")  # only untraced hits so far
+        assert store.get(key)[5:] == (None, b"elided")
+        store.fill_binary(key, b"full", b"other")
         assert store.get(key)[5:] == (b"full", b"elided")
         store.close()
 
@@ -212,15 +218,18 @@ class TestTiering:
     def test_promotion_serves_the_persisted_fragments_verbatim(self, tmp_path):
         cache = TieredDecisionCache(str(tmp_path / "c.db"), maxsize=1)
         decision = _decision(1, "a", "L")
-        fragments = _fragments(decision)
-        fragments.binary(decision, include_trace=True)  # compute binary forms
+        fragments = WireFragments(decision)
         cache.put("a", "L", 1, decision, payload=fragments)
+        for include_trace in (True, False):  # binary forms after the write
+            fragments.encoded(True, include_trace)
         _put(cache, "b", "L", 2)  # demote "a" (binary backfilled on demotion)
         entry = cache.get("a", "L", 1)
-        assert entry.payload.json_full == fragments.json_full
-        assert entry.payload.json_elided == fragments.json_elided
-        assert entry.payload.bin_full == fragments.bin_full
-        assert entry.payload.bin_elided == fragments.bin_elided
+        for binary in (False, True):
+            for include_trace in (False, True):
+                assert entry.payload.encoded(binary, include_trace) == (
+                    fragments.encoded(binary, include_trace)
+                )
+        assert entry.payload.binary_filled() == fragments.binary_filled()
         cache.close()
 
     def test_promoted_entry_attaches_the_current_generation(self, tmp_path):
@@ -470,34 +479,215 @@ class TestWarmRestart:
 # Cached wire fragments
 # --------------------------------------------------------------------- #
 class TestWireFragments:
-    def test_binary_decide_miss_encodes_the_decision_once(self, monkeypatch):
+    """Each wire form is encoded the first time a connection asks for it,
+    through that form's one encoder, and reads byte for byte as the old
+    all-forms-at-once encoding did."""
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        """Every generic ``decision_to_dict`` encode, as its
+        ``include_trace`` flag."""
         import repro.service.cache_store as cache_store_module
-        import repro.service.server as server_module
 
         calls = []
 
-        def counting(decision, *args, **kwargs):
-            calls.append(decision)
-            return decision_to_dict(decision, *args, **kwargs)
+        def counting(decision, *, include_trace=True):
+            calls.append(include_trace)
+            return decision_to_dict(decision, include_trace=include_trace)
 
-        monkeypatch.setattr(server_module, "decision_to_dict", counting)
         monkeypatch.setattr(cache_store_module, "decision_to_dict", counting)
+        return calls
+
+    @staticmethod
+    def _server():
         hierarchy = LocationHierarchy(grid_building("B", 2, 2))
         engine = Ltam(hierarchy)
         engine.grant(grant("alice").at("B.R0C0").during(0, 100).entries(5))
         server = LtamServer(engine, cache=DecisionCache())
         server.start()
+        return server
+
+    @pytest.fixture
+    def decisions(self):
+        """A grant, a no-authorization denial, a capacity denial whose
+        trace detail embeds ``n/limit``, and a derived-authorization grant."""
+        from repro.api import CapacityStage
+        from repro.locations import ntu_campus_hierarchy
+        from repro.paper import fixtures as paper
+
+        base = paper.example_base_authorization_a1()
+        engine = (
+            Ltam.builder()
+            .hierarchy(ntu_campus_hierarchy())
+            .stage(CapacityStage())
+            .capacity("CAIS", 1)
+            .grant(base)
+            .rule(paper.example_rule_r1(base))
+            .build()
+        )
+        engine.grant(grant("Carol").at("CAIS").during(0, 100))
+        engine.profile_db.set_supervisor("Alice", "Bob")
+        engine.advance_to(10)
+        engine.derive_authorizations()
+        found = {
+            "grant": engine.decide((12, "Alice", "CAIS")),
+            "no_authorization": engine.decide((12, "Dave", "CAIS")),
+            "derived": engine.decide((12, "Bob", "CAIS")),
+        }
+        engine.observe_entry(12, "Alice", "CAIS")
+        found["over_capacity"] = engine.decide((13, "Carol", "CAIS"))
+        assert found["grant"].granted and found["derived"].granted
+        assert found["derived"].authorization.derived_from is not None
+        assert found["no_authorization"].authorization is None
+        assert "limit is 1" in found["over_capacity"].trace[-1].detail
+        return found
+
+    @staticmethod
+    def _eager_forms(decision):
+        """The four forms as the all-at-once encoder wrote them, keyed
+        ``(binary, include_trace)``."""
+        import json
+
+        from repro.service import wire
+        from repro.service.protocol import elide_decision
+
+        encoded = decision_to_dict(decision)
+        elided = elide_decision(encoded)
+        compact = {"separators": (",", ":"), "ensure_ascii": False}
+        return {
+            (False, True): json.dumps(encoded, **compact),
+            (False, False): json.dumps(elided, **compact),
+            (True, True): wire.encode_value(encoded),
+            (True, False): wire.encode_value(elided),
+        }
+
+    def test_untraced_binary_miss_makes_no_generic_encode(self, encodes):
+        server = self._server()
         try:
             with ServiceClient(*server.address, wire="binary") as client:
                 assert client.wire == "binary"
                 for time in (10, 11, 12):
                     assert client.decide((time, "alice", "B.R0C0")).granted
-                assert len(calls) == 3  # one encode per miss
-                # A hit serves the stored bytes: no encode at all.
-                client.decide((10, "alice", "B.R0C0"), trace=True)
-                assert len(calls) == 3
+            assert encodes == []
         finally:
             server.stop()
+
+    def test_untraced_json_miss_makes_one_elided_encode(self, encodes):
+        server = self._server()
+        try:
+            with ServiceClient(*server.address, wire="json") as client:
+                assert client.decide((10, "alice", "B.R0C0")).granted
+            assert encodes == [False]
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("wire_format", ["binary", "json"])
+    def test_first_traced_hit_pays_one_full_encode(self, encodes, wire_format):
+        server = self._server()
+        try:
+            with ServiceClient(*server.address, wire=wire_format) as client:
+                request = (10, "alice", "B.R0C0")
+                untraced, cached = client.enforce_detail(request)
+                assert not cached
+                del encodes[:]
+                traced, cached = client.enforce_detail(request, trace=True)
+                assert cached  # a traced request still hits the entry
+                assert traced.trace and not untraced.trace
+                assert (traced.granted, traced.reason, traced.authorization) == (
+                    untraced.granted, untraced.reason, untraced.authorization
+                )
+                assert encodes == [True]
+                for _ in range(2):
+                    assert client.decide(request, trace=True).trace
+                assert encodes == [True]  # later traced hits serve the bytes
+                assert client.health()["cache"]["hits"] == 3
+        finally:
+            server.stop()
+
+    def test_every_form_reads_as_the_eager_encoding(self, decisions, tmp_path):
+        cache = TieredDecisionCache(str(tmp_path / "c.db"), maxsize=1)
+        try:
+            for name, decision in decisions.items():
+                fragments = WireFragments(decision)
+                assert {
+                    (binary, trace): fragments.encoded(binary, trace)
+                    for binary in (False, True)
+                    for trace in (False, True)
+                } == self._eager_forms(decision), name
+                request = decision.request
+                cache.put(
+                    request.subject, request.location, request.time, decision,
+                    payload=WireFragments(decision),
+                )
+            # maxsize=1: all but the last were demoted and now promote from
+            # their stored rows, through from_stored().
+            for name, decision in decisions.items():
+                request = decision.request
+                entry = cache.get(request.subject, request.location, request.time)
+                assert {
+                    (binary, trace): entry.payload.encoded(binary, trace)
+                    for binary in (False, True)
+                    for trace in (False, True)
+                } == self._eager_forms(decision), name
+            assert cache.stats["promoted"] == len(decisions)
+        finally:
+            cache.close()
+
+    def test_racing_fills_return_identical_bytes(self, decisions, monkeypatch):
+        import repro.service.cache_store as cache_store_module
+
+        encode = cache_store_module._binary_decision
+        both_inside = threading.Barrier(2, timeout=5)
+
+        def rendezvous(decision, include_trace):
+            both_inside.wait()  # neither fill finishes before both started
+            return encode(decision, include_trace)
+
+        monkeypatch.setattr(cache_store_module, "_binary_decision", rendezvous)
+        decision = decisions["derived"]
+        fragments = WireFragments(decision)
+        results = []
+        threads = [
+            threading.Thread(target=lambda: results.append(fragments.encoded(True, True)))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert len(results) == 2
+        assert results[0] == results[1] == self._eager_forms(decision)[(True, True)]
+        assert fragments.encoded(True, True) == results[0]
+
+    def test_warm_restart_serves_the_backfilled_elided_bytes(self, tmp_path, monkeypatch):
+        import repro.service.cache_store as cache_store_module
+
+        path = str(tmp_path / "c.db")
+        db = SqliteMovementDatabase(str(tmp_path / "movements.db"))
+        cache = TieredDecisionCache(path, maxsize=1)
+        cache.connect(db)
+        decision = _decision(15, "Alice", "CAIS")
+        fragments = WireFragments(decision)
+        cache.put("Alice", "CAIS", 15, decision, payload=fragments)
+        elided = fragments.encoded(True, False)  # an untraced binary hit
+        _put(cache, "Bob", "Lab", 3)  # demotes Alice: bin_elided backfilled
+        _put(cache, "Carol", "Lab", 4)
+        assert cache.sidecar.get(_key("Alice", "CAIS", 15))[5:] == (None, elided)
+        cache.close()
+
+        def no_encode(*args, **kwargs):
+            raise AssertionError("a stored form was re-encoded")
+
+        monkeypatch.setattr(cache_store_module, "_binary_decision", no_encode)
+        monkeypatch.setattr(cache_store_module, "decision_to_dict", no_encode)
+        warmed = TieredDecisionCache(path, maxsize=1)
+        report = warmed.warm(db)
+        assert report["readmitted"] == 1 and report["retained_on_disk"] == 2
+        entry = warmed.get("Alice", "CAIS", 15)  # the oldest row: promoted
+        assert warmed.stats["promoted"] == 1
+        assert entry.payload.encoded(True, False) == elided
+        warmed.close()
+        db.close()
 
 
 # --------------------------------------------------------------------- #
@@ -747,7 +937,7 @@ def test_bucket_boundary_entries_never_resurrect_across_buckets(
     cache = TieredDecisionCache(path, bucket=bucket)
     cache.connect(db)
     decision = _decision(t1, "Alice", "CAIS")
-    cache.put("Alice", "CAIS", t1, decision, payload=_fragments(decision))
+    cache.put("Alice", "CAIS", t1, decision, payload=WireFragments(decision))
     same_bucket = (t1 // bucket) == (t2 // bucket)
     assert (cache.get("Alice", "CAIS", t2) is not None) == same_bucket
     cache.close()

@@ -407,7 +407,6 @@ def _seed_sidecar(path, subject="Alice", location="CAIS", time=15):
     from repro.api.decision import Decision
     from repro.core.requests import AccessRequest, DenialReason
     from repro.service.cache_store import TieredDecisionCache, WireFragments
-    from repro.service.protocol import decision_to_dict
 
     cache = TieredDecisionCache(path)
     try:
@@ -416,7 +415,7 @@ def _seed_sidecar(path, subject="Alice", location="CAIS", time=15):
         )
         cache.put(
             subject, location, time, decision,
-            payload=WireFragments(decision_to_dict(decision)),
+            payload=WireFragments(decision),
         )
     finally:
         cache.close()
