@@ -39,7 +39,7 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import StorageError
 from repro.core.subjects import subject_name
@@ -108,6 +108,41 @@ class MovementRecord:
         setattr_(record, "location", location)
         setattr_(record, "kind", kind)
         return record
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable[Tuple[Any, Any, Any, Any]]) -> Iterator["MovementRecord"]:
+        """Build records from ``(time, subject, location, kind)`` rows.
+
+        A store's log, like a tracker's wire batch, repeats a few hundred
+        subject and location names and two kinds, so each distinct value
+        is validated once, by a full construction (which also raises the
+        error for a bad row); a row whose time is a non-negative ``int``
+        and whose other values were all accepted earlier is then built by
+        :meth:`_from_checked`.  The records equal ``cls(*row)`` for each
+        row.
+        """
+        build = cls._from_checked
+        subjects: Set[str] = set()
+        locations: Set[str] = set()
+        kinds: Dict[Any, MovementKind] = {}
+        for time, subject, location, kind in rows:
+            if (
+                type(time) is int
+                and time >= 0
+                and type(subject) is str
+                and subject in subjects
+                and type(location) is str
+                and location in locations
+                and isinstance(kind, str)
+                and kind in kinds
+            ):
+                yield build(time, subject, location, kinds[kind])
+            else:
+                record = cls(time, subject, location, kind)
+                subjects.add(record.subject)
+                locations.add(record.location)
+                kinds[kind] = record.kind
+                yield record
 
     def __str__(self) -> str:
         return f"{self.kind.value.upper()}({self.time}, {self.subject}, {self.location})"
@@ -1085,10 +1120,11 @@ class SqliteMovementDatabase(MovementDatabase):
             },
         )
         replay.apply_many(
-            MovementRecord(time, subject, location, MovementKind(kind))
-            for time, subject, location, kind in self._connection.execute(
-                "SELECT time, subject, location, kind FROM movements WHERE seq > ? ORDER BY seq",
-                (checkpoint_seq,),
+            MovementRecord._from_rows(
+                self._connection.execute(
+                    "SELECT time, subject, location, kind FROM movements WHERE seq > ? ORDER BY seq",
+                    (checkpoint_seq,),
+                )
             )
         )
         self._connection.execute("DELETE FROM occ_current")

@@ -508,12 +508,17 @@ class OccupancyService:
             self._inside[subject] = location
             self._inside_since[subject] = since
             self._occupants.setdefault(location, set()).add(subject)
-        for (subject, location), (count, last_time) in entry_counts.items():
-            self._entry_counts[(subject, location)] = count
+        # The last-entry records come from the store's own rows, so each
+        # distinct name is validated once (see MovementRecord._from_rows).
+        last_entries = MovementRecord._from_rows(
+            (last_time, subject, location, MovementKind.ENTER)
+            for (subject, location), (_, last_time) in entry_counts.items()
+            if last_time is not None
+        )
+        for pair, (count, last_time) in entry_counts.items():
+            self._entry_counts[pair] = count
             if last_time is not None:
-                self._last_entry[(subject, location)] = MovementRecord(
-                    last_time, subject, location, MovementKind.ENTER
-                )
+                self._last_entry[pair] = next(last_entries)
 
     def snapshot(self) -> tuple:
         """A full, independent copy of the projection state, as a tuple.

@@ -47,6 +47,42 @@ class TestMovementRecord:
         with pytest.raises(ValueError):
             MovementRecord(0, "Alice", "CAIS", "teleport")
 
+    def test_rows_rebuild_like_one_record_at_a_time(self):
+        # Repeated values take the memoized path; fresh ones and an enum
+        # kind take the full construction.
+        rows = [
+            (1, "Alice", "CAIS", "enter"),
+            (2, "Alice", "CAIS", "exit"),
+            (3, "Bob", "CAIS", "enter"),
+            (4, "Alice", "Lab", MovementKind.ENTER),
+            (5, "Bob", "CAIS", "exit"),
+            (6, "Alice", "Lab", "enter"),
+        ]
+        rebuilt = list(MovementRecord._from_rows(rows))
+        assert rebuilt == [MovementRecord(*row) for row in rows]
+        assert all(type(record.kind) is MovementKind for record in rebuilt)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (True, "Alice", "CAIS", "enter"),  # a bool is not a chronon
+            (-1, "Alice", "CAIS", "enter"),
+            (2, " Alice", "CAIS", "enter"),
+            (2, "Alice", "", "enter"),
+            (2, "Alice", "CAIS", "teleport"),
+            (2, "Alice", "CAIS", ["enter"]),  # unhashable: must not reach the memo
+        ],
+    )
+    def test_rows_reject_what_one_record_rejects(self, bad):
+        # The bad row follows valid ones whose values are already memoized.
+        valid = [(1, "Alice", "CAIS", "enter"), (1, "Alice", "CAIS", "exit")]
+        with pytest.raises(Exception) as single:
+            MovementRecord(*bad)
+        with pytest.raises(Exception) as batch:
+            list(MovementRecord._from_rows(valid + [bad]))
+        assert type(batch.value) is type(single.value)
+        assert str(batch.value) == str(single.value)
+
 
 class TestRecordingAndOccupancy:
     def test_current_location_tracks_last_entry(self, db):
