@@ -14,11 +14,6 @@ requests (with a seeded movement history) both ways and asserts that
   candidate-lookup queries), while on the in-memory backend it must simply
   never lose.
 
-Each path's time is its best of three runs, the two paths taking turns
-(the order reversing each round), so a slow spell of a shared host cannot
-land on every run of one path alone.  Each run starts from a collected
-heap, with the collector running inside it.
-
 Cost-model note: when this benchmark was written the entry-count reads
 replayed movement history, so the snapshot's memoization amortized O(n)
 scans and bought 2-3x on *any* backend.  The event-indexed
@@ -30,7 +25,6 @@ cost something.  The storage-read speedup itself is asserted in
 ``test_bench_occupancy_reads.py``.
 """
 
-import gc
 import random
 import time as _time
 
@@ -104,35 +98,21 @@ def build_deployment(
     return engine, requests
 
 
-def _best_of_interleaved(runs: int, *paths):
-    """Minimum wall-clock of each path over *runs* rounds, and its last result.
-
-    Each round runs every path once, the order reversing every round, so
-    a slow spell of a shared host lands on the paths alike instead of on
-    every run of one of them.  Every run starts from a collected heap (the
-    collector keeps running inside it), so garbage left by the setup or by
-    the previous run is not collected on the clock of the next one.
-    """
-    best = [float("inf")] * len(paths)
-    results = [None] * len(paths)
-    order = list(range(len(paths)))
+def _best_of(runs: int, fn):
+    """Minimum wall-clock over *runs* executions — robust to machine noise."""
+    best_seconds, result = float("inf"), None
     for _ in range(runs):
-        for index in order:
-            results[index] = None
-            gc.collect()
-            started = _time.perf_counter()
-            results[index] = paths[index]()
-            best[index] = min(best[index], _time.perf_counter() - started)
-        order.reverse()
-    return [(seconds, result) for seconds, result in zip(best, results)]
+        started = _time.perf_counter()
+        result = fn()
+        best_seconds = min(best_seconds, _time.perf_counter() - started)
+    return best_seconds, result
 
 
 def _compare_batch_to_loop(engine, requests, table_printer, *, label, floor):
-    (loop_seconds, loop_decisions), (batch_seconds, batch_decisions) = _best_of_interleaved(
-        3,
-        lambda: [engine.decide(request) for request in requests],
-        lambda: engine.decide_many(requests),
+    loop_seconds, loop_decisions = _best_of(
+        3, lambda: [engine.decide(request) for request in requests]
     )
+    batch_seconds, batch_decisions = _best_of(3, lambda: engine.decide_many(requests))
 
     # Identical outcomes, in the original request order.
     assert len(batch_decisions) == len(loop_decisions)

@@ -15,9 +15,6 @@ Two scale properties of the plain in-memory and SQLite movement stores:
   (stale derived tables, the crash shape) in time that tracks **events
   since the checkpoint**, not total log length: replaying 10k costs
   measurably less than replaying 110k on an identically sized database.
-  Each database's time is its best of three stale reopens, the three
-  databases reopened in turn each round from a collected heap, so a slow
-  spell of a shared host cannot land on every reopen of one database alone.
 """
 
 import gc
@@ -153,26 +150,18 @@ def _build_recovery_db(path, hierarchy, events, *, checkpoint_after):
     raw.close()
 
 
-def _measure_recovery(paths, hierarchy, repeats=3):
-    """Best-of-N stale-reopen time per database (re-staling the stamp each time).
-
-    Each round reopens every database once, so a slow spell of a shared
-    host lands on all of them alike instead of on every repeat of one.
-    Every reopen starts from a collected heap; the collector keeps running
-    inside it.
-    """
-    best = [float("inf")] * len(paths)
+def _measure_recovery(path, hierarchy, repeats=3):
+    """Best-of-N stale-reopen time (re-staling the stamp between rounds)."""
+    best = float("inf")
     for _ in range(repeats):
-        for index, path in enumerate(paths):
-            raw = sqlite3.connect(path)
-            raw.execute("UPDATE occ_meta SET value = 0 WHERE key = 'applied_seq'")
-            raw.commit()
-            raw.close()
-            gc.collect()
-            started = _time.perf_counter()
-            database = SqliteMovementDatabase(path, hierarchy)
-            best[index] = min(best[index], _time.perf_counter() - started)
-            database.close()
+        raw = sqlite3.connect(path)
+        raw.execute("UPDATE occ_meta SET value = 0 WHERE key = 'applied_seq'")
+        raw.commit()
+        raw.close()
+        started = _time.perf_counter()
+        database = SqliteMovementDatabase(path, hierarchy)
+        best = min(best, _time.perf_counter() - started)
+        database.close()
     return best
 
 
@@ -186,17 +175,12 @@ def test_recovery_cost_tracks_events_since_checkpoint(tmp_path, trace, table_pri
         ("checkpoint @ 50k  (replay 60k)", 50_000, 60_000),
         ("no checkpoint     (replay 110k)", 0, total),
     ]
-    paths = []
-    for _, checkpoint_after, _ in scenarios:
+    timings = []
+    for label, checkpoint_after, replay_span in scenarios:
         path = str(tmp_path / f"recovery-{checkpoint_after}.db")
         _build_recovery_db(path, hierarchy, events, checkpoint_after=checkpoint_after)
-        paths.append(path)
-    timings = [
-        (label, checkpoint_after, replay_span, elapsed)
-        for (label, checkpoint_after, replay_span), elapsed in zip(
-            scenarios, _measure_recovery(paths, hierarchy)
-        )
-    ]
+        elapsed = _measure_recovery(path, hierarchy)
+        timings.append((label, checkpoint_after, replay_span, elapsed))
 
     table_printer(
         f"Stale reopen (crash recovery), identical {total}-event logs",

@@ -12,9 +12,9 @@ persistence layer underneath it:
 * :class:`CacheStore` — a SQLite **sidecar file** holding cache entries
   keyed ``(subject, location, action, time_bucket)`` with their originating
   generation, the movement-log *position* they were valid at, and the
-  **pre-serialized wire fragments verbatim** (both JSON forms, encoded by
-  the durability write; each binary form once some connection asked for
-  it) — a disk hit skips the pipeline *and* re-encoding;
+  **pre-serialized wire fragments verbatim** (both JSON forms, encoded
+  when the entry is admitted; each binary form once some connection asked
+  for it) — a disk hit skips the pipeline *and* re-encoding;
 * :class:`TieredDecisionCache` — a drop-in ``DecisionCache`` whose LRU
   evictions *demote* (the row is already on disk via write-through, so the
   hot set is no longer bounded by RAM), whose RAM misses *promote* spilled
@@ -118,8 +118,9 @@ class WireFragments:
     racing connections compute identical bytes — so no lock is needed.
 
     This is the payload the server attaches to cache entries *and* the
-    value the persistent tier stores: the durability write fills both JSON
-    forms (the traced one carries the decision across restarts), and a
+    value the persistent tier stores: the tiered cache fills both JSON
+    forms when it admits the entry (the traced one carries the decision
+    across restarts), and a
     promoted or re-admitted entry serves the exact bytes the original
     evaluation produced.
     """
@@ -589,6 +590,15 @@ class TieredDecisionCache(DecisionCache):
         """
         return self._store
 
+    def put(self, subject, location, time, decision, *, payload=None, **kwargs) -> bool:
+        """As :meth:`DecisionCache.put`; a server payload's JSON forms are
+        encoded here, before the cache-wide lock, because the write-through
+        persists both of them."""
+        if isinstance(payload, WireFragments):
+            payload.encoded(False, True)
+            payload.encoded(False, False)
+        return super().put(subject, location, time, decision, payload=payload, **kwargs)
+
     def connect(self, movement_db):
         """Subscribe for invalidation AND adopt *movement_db* as the
         position source stamped onto persisted rows."""
@@ -631,9 +641,9 @@ class TieredDecisionCache(DecisionCache):
             return
         fragments = self._fragments_for(entry)
         bin_full, bin_elided = fragments.binary_filled()
-        # The durability write is where a tiered cache pays the JSON encode
-        # a reply may not have needed: the row keeps both forms, and the
-        # traced one is how a promotion rebuilds the decision.
+        # The row keeps both JSON forms (the traced one is how a promotion
+        # rebuilds the decision).  A server payload arrives with them filled
+        # by :meth:`put`; only the PDP's payload-less stores encode here.
         self._store.put(
             key,
             position=self._current_position(),

@@ -508,17 +508,23 @@ class OccupancyService:
             self._inside[subject] = location
             self._inside_since[subject] = since
             self._occupants.setdefault(location, set()).add(subject)
+        self._entry_counts.update((pair, count) for pair, (count, _) in entry_counts.items())
         # The last-entry records come from the store's own rows, so each
         # distinct name is validated once (see MovementRecord._from_rows).
-        last_entries = MovementRecord._from_rows(
-            (last_time, subject, location, MovementKind.ENTER)
-            for (subject, location), (_, last_time) in entry_counts.items()
+        entered = [
+            (pair, last_time)
+            for pair, (_, last_time) in entry_counts.items()
             if last_time is not None
+        ]
+        self._last_entry.update(
+            zip(
+                (pair for pair, _ in entered),
+                MovementRecord._from_rows(
+                    (last_time, subject, location, MovementKind.ENTER)
+                    for (subject, location), last_time in entered
+                ),
+            )
         )
-        for pair, (count, last_time) in entry_counts.items():
-            self._entry_counts[pair] = count
-            if last_time is not None:
-                self._last_entry[pair] = next(last_entries)
 
     def snapshot(self) -> tuple:
         """A full, independent copy of the projection state, as a tuple.

@@ -199,6 +199,25 @@ class TestTiering:
         assert '"granted"' in row[3]
         cache.close()
 
+    def test_put_encodes_the_json_forms_outside_the_cache_lock(self, tmp_path, monkeypatch):
+        import repro.service.cache_store as cache_store_module
+
+        cache = TieredDecisionCache(str(tmp_path / "c.db"))
+        encode = cache_store_module._json_decision
+        locked = []
+
+        def spy(decision, include_trace):
+            locked.append(cache._lock.locked())
+            return encode(decision, include_trace)
+
+        monkeypatch.setattr(cache_store_module, "_json_decision", spy)
+        decision = _decision()
+        assert _put(cache, "Alice", "CAIS", 15, decision)
+        assert locked == [False, False]  # both forms, neither under the lock
+        row = cache.sidecar.get(_key("Alice", "CAIS", 15))
+        assert (row[3], row[4]) == (encode(decision, True), encode(decision, False))
+        cache.close()
+
     def test_eviction_demotes_and_hit_promotes(self, tmp_path):
         cache = TieredDecisionCache(str(tmp_path / "c.db"), maxsize=2)
         _put(cache, "a", "L", 1)
